@@ -33,11 +33,11 @@ into completion times over days of simulated time.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +60,9 @@ from repro.exec.plan import (
     ExperimentPlan,
     RunSpec,
     config_digest,
-    trace_fingerprint,
+    field_payload,
+    ops_fingerprint,
+    trace_op_bytes,
 )
 from repro.exec.pool import execute_plan
 from repro.metrics.collector import RunMetrics
@@ -98,7 +100,7 @@ class EpochSpec:
 
     @property
     def digest(self) -> str:
-        payload = json.dumps(dataclasses.asdict(self), sort_keys=True)
+        payload = json.dumps(field_payload(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -310,6 +312,10 @@ def run_stream(
         cache = ResultCache(cache)
     if backend not in ("packet", "flow"):
         raise ValueError(f"unknown backend {backend!r}")
+    if jobs is not None:
+        dup = sorted(i for i, n in Counter(j.id for j in jobs).items() if n > 1)
+        if dup:
+            raise ValueError(f"duplicate job ids in jobs: {dup}")
 
     machine = Machine(config.topology)
     fault_plan = None
@@ -368,6 +374,10 @@ def run_stream(
         result.jobs.append(records[j.id])
 
     running: dict[int, _Running] = {}
+    #: Each started job's encoded op reprs, rendered once per call and
+    #: hashed into every epoch cell it joins. Keyed by the job id (unique,
+    #: checked above); a trace changed between calls is rendered afresh.
+    op_bytes: dict[int, bytes] = {}
     counters = {
         "epochs": 0,
         "epochs_nonempty": 0,
@@ -404,7 +414,14 @@ def run_stream(
             f"epoch:{epoch.digest[:16]}",
         )
         traces = {merged.name: merged}
-        tdigest = trace_fingerprint(merged)
+        for jid, r in entries:
+            if jid not in op_bytes:
+                op_bytes[jid] = trace_op_bytes(r.job.trace)
+        # Equal to trace_fingerprint(merged): the merged ranks are the
+        # jobs' ranks, in job order.
+        tdigest = ops_fingerprint(
+            merged.name, merged.num_ranks, [op_bytes[jid] for jid, _ in entries]
+        )
 
         def _cell(ep: EpochSpec, app: str, td: str, be: str) -> RunSpec:
             return RunSpec(
@@ -434,9 +451,10 @@ def run_stream(
             )
             traces[iso_trace.name] = iso_trace
             iso_index[jid] = len(specs)
-            specs.append(
-                _cell(iso, iso_trace.name, trace_fingerprint(iso_trace), backend)
+            iso_digest = ops_fingerprint(
+                iso_trace.name, iso_trace.num_ranks, [op_bytes[jid]]
             )
+            specs.append(_cell(iso, iso_trace.name, iso_digest, backend))
         validate = (
             backend == "flow"
             and validate_every > 0

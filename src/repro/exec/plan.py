@@ -23,7 +23,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.config import SimulationConfig
 from repro.mpi.trace import JobTrace
@@ -33,7 +33,10 @@ __all__ = [
     "RunSpec",
     "ExperimentPlan",
     "config_digest",
+    "field_payload",
+    "ops_fingerprint",
     "trace_fingerprint",
+    "trace_op_bytes",
     "plan_grid",
     "plan_sensitivity",
 ]
@@ -57,10 +60,12 @@ __all__ = [
 #: fabric wake re-arm gained the one-ulp collapse guard. The solver
 #: knob itself and ``flow_batch`` are pure performance knobs and stay
 #: OUT of the identity, like ``scheduler``; v7 = the array flow fabric
-#: became the default (object/array agree only to rel err far below
-#: 1e-9, same last-bits argument as v6) and specs grew a
+#: became the default for ``run_single`` flow cells and specs grew a
 #: ``flow_params`` field (``None``/default normalise to the pre-v7
-#: payload shape). The fabric knob stays OUT of the identity;
+#: payload shape). The fabric knob stays OUT of the identity, though
+#: object and array results are not always last-bit close: a one-ulp
+#: shift can change event order, and one seed-1 stream epoch cell moves
+#: a job's makespan by 1.5e-5 relative between them (DESIGN.md §14);
 #: v8 = repro.mlcomms (the DL training app family: new collective
 #: expansions and app names share the cache namespace, so the bump
 #: keeps any pre-training-era cache from ever colliding with the new
@@ -81,6 +86,31 @@ def config_digest(config: SimulationConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def ops_fingerprint(name: str, num_ranks: int, op_bytes: Iterable[bytes]) -> str:
+    """The hashing core of :func:`trace_fingerprint`.
+
+    ``op_bytes`` is a trace's :func:`trace_op_bytes` in chunks of any
+    size, so a caller holding each job's bytes digests a trace merged
+    from those jobs without rendering their ops again.
+    """
+    h = hashlib.sha256()
+    h.update(name.encode())
+    h.update(b"|%d|" % num_ranks)
+    for chunk in op_bytes:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _rank_op_bytes(trace: JobTrace) -> Iterator[bytes]:
+    for rt in trace.ranks:
+        yield repr(rt.ops).encode()
+
+
+def trace_op_bytes(trace: JobTrace) -> bytes:
+    """A trace's per-rank op reprs, encoded and joined in rank order."""
+    return b"".join(_rank_op_bytes(trace))
+
+
 def trace_fingerprint(trace: JobTrace) -> str:
     """Stable hex digest of a trace's simulated content.
 
@@ -88,12 +118,17 @@ def trace_fingerprint(trace: JobTrace) -> str:
     lists (ops are NamedTuples, so ``repr`` is canonical). ``meta`` is
     deliberately excluded: it annotates but never alters replay.
     """
-    h = hashlib.sha256()
-    h.update(trace.name.encode())
-    h.update(b"|%d|" % trace.num_ranks)
-    for rt in trace.ranks:
-        h.update(repr(rt.ops).encode())
-    return h.hexdigest()
+    return ops_fingerprint(trace.name, trace.num_ranks, _rank_op_bytes(trace))
+
+
+def field_payload(record: Any) -> dict[str, Any]:
+    """A dataclass's fields as a shallow dict.
+
+    For a record whose fields hold no nested dataclasses this
+    serialises to the same JSON as :func:`dataclasses.asdict`, without
+    its recursive deep copy.
+    """
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
 @dataclass(frozen=True)
@@ -164,7 +199,15 @@ class RunSpec:
 
     @property
     def key(self) -> str:
-        """Content hash addressing this cell (includes :data:`CODE_SALT`)."""
+        """Content hash addressing this cell (includes :data:`CODE_SALT`).
+
+        Computed on first access and kept on the instance: every field
+        is frozen, and the executor, the cache and the cluster engine
+        each ask for it.
+        """
+        key = self.__dict__.get("_key")
+        if key is not None:
+            return key
         background = (
             dataclasses.asdict(self.background)
             if dataclasses.is_dataclass(self.background)
@@ -179,7 +222,7 @@ class RunSpec:
         if faults is not None:
             faults = None if faults.is_empty() else faults.digest
         epoch = (
-            dataclasses.asdict(self.epoch)
+            field_payload(self.epoch)
             if dataclasses.is_dataclass(self.epoch)
             else self.epoch
         )
@@ -215,7 +258,9 @@ class RunSpec:
             },
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        key = hashlib.sha256(payload.encode()).hexdigest()
+        self.__dict__["_key"] = key
+        return key
 
 
 @dataclass(frozen=True)

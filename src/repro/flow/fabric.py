@@ -98,12 +98,14 @@ def make_flow_fabric(
     """Build the selected flow-fabric implementation.
 
     ``fabric`` falls back to the ``REPRO_FLOW_FABRIC`` environment
-    knob, then :data:`DEFAULT_FABRIC`. Like the solver knob it is a
-    pure performance choice — the implementations agree to relative
-    error far below ``1e-9`` (see the differential harness) — so it is
-    NOT part of the exec cache identity;
-    :data:`~repro.exec.plan.CODE_SALT` was bumped when the default
-    flipped to ``array``.
+    knob, then :data:`DEFAULT_FABRIC`. It is NOT part of the exec
+    cache identity (:data:`~repro.exec.plan.CODE_SALT` was bumped when
+    the default flipped to ``array``), yet it is not a pure performance
+    choice: the implementations agree to relative error below ``1e-9``
+    on the differential harness's grids, but not on every cell. In the
+    benchmark suite's seed-1 stream, epoch cell ``CR-0+FB-1+AMG-2``
+    (``adp``) gives CR-0 a makespan of 32592.15 ns on the object fabric
+    and 32591.65 ns on the array fabric (DESIGN.md §14).
     """
     if fabric is None:
         fabric = os.environ.get("REPRO_FLOW_FABRIC") or DEFAULT_FABRIC

@@ -28,24 +28,32 @@ longer rebuilds the incidence from ``_Unit`` objects on every solve:
   staying rates (max-min allocations are component-local) and solves
   only the admitted flows against full capacity.
 
-Equivalence contract (enforced by the differential harness in
-``tests/integration/test_flow_batch_equivalence.py``): the pending-load
-ledger — the only state that feeds a *discrete* decision, the UGAL
-spill emulation — evolves bit-identically to the reference fabric
-(same per-element operations in the same order), so adaptive unit
-selection is exact; rates, saturation clocks, and byte counters agree
-to relative error far below ``1e-9``, differing only in float
-accumulation order (deferred flushes reassociate ``w*(m1+m2)`` vs
-``w*m1 + w*m2``; incremental weight aggregates carry subtraction
-residue a from-scratch rebuild would not). Within one fabric choice,
-results remain bit-identical across schedulers and worker counts: all
-bookkeeping is driven by the simulator's total ``(time, seq)`` order.
+Equivalence with the object fabric: the pending-load ledger that the
+UGAL spill emulation reads is updated with the object fabric's
+per-element operations in the same order; rates, saturation clocks and
+byte counters differ only in float accumulation order (deferred
+flushes reassociate ``w*(m1+m2)`` vs ``w*m1 + w*m2``; incremental
+weight aggregates carry subtraction residue a from-scratch rebuild
+would not; the disjoint-delta solve above accumulates its own base
+rate). On the differential harness's grids
+(``tests/integration/test_flow_batch_equivalence.py``) results agree
+to relative error below ``1e-9``, but not on every cell: in the
+benchmark suite's seed-1 stream, epoch cell ``CR-0+FB-1+AMG-2``
+(``adp``) gives CR-0 a makespan of 32592.15 ns on the object fabric
+and 32591.65 ns here. A one-ulp difference in an injection time grows
+into a 248 ns difference in one message's finish time, so the ledger
+is not the only state that feeds a discrete decision: event order and
+the 0.5-byte completion threshold do too. DESIGN.md §14 records the
+measurement and what is known of its cause.
+Within one fabric choice, results are bit-identical across schedulers
+and worker counts: all bookkeeping is driven by the simulator's total
+``(time, seq)`` order.
 
 The fabric knob (``REPRO_FLOW_FABRIC`` / ``fabric=`` on
-:func:`~repro.flow.fabric.make_flow_fabric`) is a pure performance
-knob, excluded from the exec cache identity exactly like the solver
-knob; :data:`~repro.exec.plan.CODE_SALT` was bumped when the default
-flipped to ``array``.
+:func:`~repro.flow.fabric.make_flow_fabric`) is excluded from the exec
+cache identity like the solver knob;
+:data:`~repro.exec.plan.CODE_SALT` was bumped when the default flipped
+to ``array``.
 """
 
 from __future__ import annotations

@@ -3,17 +3,16 @@
 Two interchangeable implementations of the rate-allocation step behind
 :meth:`~repro.flow.fabric.FlowFabric._solve`:
 
-* :func:`solve_scalar` — the historical pure-Python loop, extracted
-  from the fabric as the reference the differential harness measures
-  against. One deliberate deviation from the original: links are
+* :func:`solve_scalar` — a pure-Python fill over one list record per
+  crossed link, bit-identical to the historical in-fabric loop, which
+  ``tests/flow_oracle.py`` keeps as the differential oracle. Links are
   retired by an integer unfrozen-user *count* instead of by their
-  floating-point weight draining below ``_W_EPS``. The original could
-  leave ~1e-16 of residue on an emptied link after unit-by-unit
-  cancellation, keeping it "shared" at residual 0 and tripping the
-  defensive no-progress break — freezing the tail of the allocation at
-  a premature base rate (found by this harness; both solvers carry the
-  same fix, and the property suite's bottleneck-condition test guards
-  it).
+  floating-point weight draining below ``_W_EPS``: unit-by-unit
+  cancellation can leave ~1e-16 of residue on an emptied link, keeping
+  it "shared" at residual 0 and tripping the defensive no-progress
+  break — freezing the tail of the allocation at a premature base rate
+  (found by the differential harness; both solvers carry the fix, and
+  the property suite's bottleneck-condition test guards it).
 * :func:`solve_vector` — the same algorithm restructured over numpy
   arrays: the flow–link incidence is assembled once per solve in
   CSR-like form (``indptr`` + per-nonzero link index/weight columns),
@@ -60,8 +59,8 @@ __all__ = [
 #: ``FlowFabric(solver=...)`` argument).
 SOLVER_NAMES = ("scalar", "vector")
 
-#: Production default. The scalar loop remains available as the frozen
-#: differential reference.
+#: Production default; it delegates solves below
+#: :data:`VECTOR_MIN_UNITS` to the scalar fill.
 DEFAULT_SOLVER = "vector"
 
 #: Relative tolerance for "this link is saturated" in the solvers and
@@ -78,98 +77,130 @@ _BOTTLENECK_RTOL = 1e-12
 
 
 def solve_scalar(flows: Sequence[Any], bw: Sequence[float]) -> list[int]:
-    """Reference progressive filling (the historical in-fabric loop).
+    """Progressive filling over one flat record per crossed link.
 
-    Deterministic: link maps iterate in first-touch order, which is
-    fixed by flow admission order, itself fixed by the simulator's
-    total event order.
+    The record layout, hoisted thresholds and retired-link compaction
+    are those of ``ArrayFlowFabric._solve_small``, but assembly runs
+    from scratch on every call, visiting links in first-touch order
+    (fixed by flow admission order, itself fixed by the simulator's
+    total event order). Every float operation and its order is that of
+    the historical dict loop, kept in ``tests/flow_oracle.py``, so
+    results are bit-identical to it.
     """
-    saturated: list[int] = []
     if not flows:
-        return saturated
+        return []
 
-    weight: dict[int, float] = {}
-    count: dict[int, int] = {}
-    crossings: dict[int, int] = {}
-    last_flow: dict[int, int] = {}
-    users: dict[int, list[Any]] = {}
-    n_unfrozen = 0
+    # Per-link record: [0] unfrozen weight, [1] residual, [2] bw *
+    # bottleneck rtol, [3] unfrozen unit count, [4] lid, [5] bw *
+    # saturation rtol, [6] distinct-flow crossings, [7] index of the
+    # last flow counted, [8] user unit indices in first-touch order.
+    recs: dict[int, list] = {}
+    units: list[Any] = []
+    # Links already inside the saturation band before any filling
+    # (zero capacity); every other link enters it during the fill.
+    sat_cand: list[list] = []
     for fi, f in enumerate(flows):
         for unit in f.units:
-            unit.rate = -1.0  # sentinel: not yet frozen
-            n_unfrozen += 1
+            ui = len(units)
+            units.append(unit)
             for lid, w in unit.links:
-                if lid in weight:
-                    weight[lid] += w
-                    count[lid] += 1
-                    users[lid].append(unit)
+                rec = recs.get(lid)
+                if rec is None:
+                    b = bw[lid]
+                    recs[lid] = rec = [
+                        w, b, b * _BOTTLENECK_RTOL, 1, lid, b * SAT_RTOL,
+                        1, fi, [ui],
+                    ]
+                    if b <= rec[5]:
+                        sat_cand.append(rec)
                 else:
-                    weight[lid] = w
-                    count[lid] = 1
-                    users[lid] = [unit]
-                # Count distinct *flows* per link (units of one flow
-                # sharing its terminals are not contention).
-                if last_flow.get(lid) != fi:
-                    last_flow[lid] = fi
-                    crossings[lid] = crossings.get(lid, 0) + 1
-    link_ids = list(weight)
-    residual = {lid: bw[lid] for lid in link_ids}
+                    rec[0] += w
+                    rec[3] += 1
+                    rec[8].append(ui)
+                    # Count distinct *flows* per link (units of one flow
+                    # sharing its terminals are not contention).
+                    if rec[7] != fi:
+                        rec[7] = fi
+                        rec[6] += 1
 
+    rates = [-1.0] * len(units)  # -1.0: not yet frozen
+    n_unfrozen = len(units)
+    alive = list(recs.values())
+    n_dead = 0
     base = 0.0
     while n_unfrozen:
         step = math.inf
-        for lid in link_ids:
-            wsum = weight[lid]
+        for rec in alive:
+            wsum = rec[0]
             if wsum > _W_EPS:
-                t = residual[lid] / wsum
+                t = rec[1] / wsum
                 if t < step:
                     step = t
         if step is math.inf:  # pragma: no cover - defensive
             break
         base += step
-        bottleneck: list[int] = []
-        for lid in link_ids:
-            wsum = weight[lid]
+        bottleneck: list[list] = []
+        for rec in alive:
+            wsum = rec[0]
             if wsum > _W_EPS:
-                r = residual[lid] - wsum * step
-                residual[lid] = r
-                if r <= bw[lid] * _BOTTLENECK_RTOL:
-                    bottleneck.append(lid)
+                res = rec[1]
+                r = res - wsum * step
+                rec[1] = r
+                if r <= rec[5]:
+                    # Residuals only fall during the fill, so a link
+                    # crosses into the saturation band at most once;
+                    # the band is wider than the bottleneck band.
+                    if res > rec[5]:
+                        sat_cand.append(rec)
+                    if r <= rec[2]:
+                        bottleneck.append(rec)
         progressed = False
-        for lid in bottleneck:
-            for unit in users[lid]:
-                if unit.rate < 0.0:
-                    unit.rate = base
+        for rec in bottleneck:
+            for ui in rec[8]:
+                if rates[ui] < 0.0:
+                    rates[ui] = base
                     n_unfrozen -= 1
                     progressed = True
-                    for l2, w2 in unit.links:
-                        weight[l2] -= w2
-                        count[l2] -= 1
-                        if count[l2] == 0:
+                    for l2, w2 in units[ui].links:
+                        r2 = recs[l2]
+                        r2[0] -= w2
+                        c = r2[3] - 1
+                        r2[3] = c
+                        if c == 0:
                             # Retire by user count, not float residue:
                             # unit-by-unit subtraction can leave ~1e-16
                             # on an emptied link, which would keep it
                             # "shared" with residual 0 and stall the
                             # fill at a premature base rate.
-                            weight[l2] = 0.0
+                            r2[0] = 0.0
+                            n_dead += 1
         if not progressed:  # pragma: no cover - defensive
             break
+        # Retired links never regain weight; once they are the majority,
+        # drop them so later rounds scan only links still in play.
+        if n_dead * 2 > len(alive):
+            alive = [rec for rec in alive if rec[0] > _W_EPS]
+            n_dead = 0
+
+    ui = 0
     for f in flows:
-        rate = 0.0
+        total = 0.0
         for unit in f.units:
-            if unit.rate < 0.0:  # pragma: no cover - defensive
-                unit.rate = base
-            rate += unit.rate
-        f.rate = rate
+            r = rates[ui]
+            ui += 1
+            if r < 0.0:  # pragma: no cover - defensive
+                r = base
+            unit.rate = r
+            total += r
+        f.rate = total
 
     # Saturation proxy: a link counts as saturated only while it is a
     # contended bottleneck — allocated to capacity with two or more
     # flows competing for it. A lone flow pinned at its own bottleneck
     # is healthy progress, not congestion (the packet model's buffers
     # never fill there either).
-    for lid in sorted(residual):
-        if crossings[lid] >= 2 and residual[lid] <= bw[lid] * SAT_RTOL:
-            saturated.append(lid)
+    saturated = [rec[4] for rec in sat_cand if rec[6] >= 2]
+    saturated.sort()
     return saturated
 
 

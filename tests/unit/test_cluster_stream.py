@@ -1,5 +1,6 @@
 """repro.cluster: workloads, scheduler, stream engine, export."""
 
+import dataclasses
 import json
 import math
 
@@ -454,6 +455,28 @@ class TestRunStream:
     def test_bad_backend_rejected(self, tiny_config):
         with pytest.raises(ValueError, match="backend"):
             run_stream(tiny_config, backend="quantum")
+
+    @pytest.mark.parametrize("twin", [7, 1], ids=["after-finish", "overlapping"])
+    def test_duplicate_job_ids_rejected_before_scheduling(
+        self, tiny_config, monkeypatch, twin
+    ):
+        """Job 7 arrives long after job 0 finished, job 1 while job 0
+        runs; either way a repeated id is refused before any cell runs
+        (unchecked, the first corrupts the records and the second fails
+        mid-stream on a double allocation)."""
+        from repro.cluster import engine
+
+        jobs = generate_stream("AMG=1,CR=1,FB=1", 3600.0, 0.6, 24, seed=7)
+        jobs[twin] = dataclasses.replace(jobs[twin], id=jobs[0].id)
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell was scheduled")
+
+        monkeypatch.setattr(engine, "execute_plan", no_cells)
+        with pytest.raises(ValueError, match=r"duplicate job ids in jobs: \[0\]"):
+            run_stream(
+                tiny_config, duration_s=3600.0, load=0.6, seed=7, jobs=jobs
+            )
 
 
 def to_doc_stable(result: StreamResult) -> str:

@@ -1,14 +1,15 @@
 """Differential and property-based tests of the max-min solvers.
 
 The vectorized solver (``repro.flow.solver.solve_vector``) must match
-the frozen scalar reference on every allocation it produces; the
-property suite then checks the max-min invariants *themselves* on both
-implementations, so a bug shared by the pair (or a wrong "invariant")
-cannot hide behind agreement. Synthetic flow/unit stand-ins mirror the
-fabric's duck-typed contract (``flow.units``, ``unit.links``,
-``unit.rate``, ``flow.rate``) and let the harness drive the solvers at
-sizes and shapes the tiny grid never reaches — including forcing the
-numpy path below its adaptive-dispatch floor with ``min_units=0``.
+the historical scalar fill (``tests/flow_oracle.py``) on every
+allocation it produces; the property suite then checks the max-min
+invariants *themselves* on both production implementations, so a bug
+shared by the pair (or a wrong "invariant") cannot hide behind
+agreement. Synthetic flow/unit stand-ins mirror the fabric's
+duck-typed contract (``flow.units``, ``unit.links``, ``unit.rate``,
+``flow.rate``) and let the harness drive the solvers at sizes and
+shapes the tiny grid never reaches — including forcing the numpy path
+below its adaptive-dispatch floor with ``min_units=0``.
 """
 
 from __future__ import annotations
@@ -31,61 +32,16 @@ from repro.flow.solver import (
     solve_vector,
 )
 from repro.network.packet import Message
+from tests.flow_oracle import build, random_instance, rates_of, solve_scalar_oracle
 
 REL_TOL = 1e-9
 
 
-class U:
-    """Stand-in for the fabric's ``_Unit``: links + solver-set rate."""
-
-    __slots__ = ("links", "rate")
-
-    def __init__(self, links):
-        self.links = tuple(links)
-        self.rate = 0.0
-
-
-class F:
-    """Stand-in for the fabric's ``_Flow``: units + solver-set rate."""
-
-    __slots__ = ("units", "rate")
-
-    def __init__(self, units):
-        self.units = tuple(units)
-        self.rate = 0.0
-
-
-def build(flow_specs):
-    """Fresh mutable flow objects from a pure-data instance spec."""
-    return [F([U(links) for links in units]) for units in flow_specs]
-
-
-def random_instance(rng, max_links=12, max_flows=10):
-    """A seeded random (caps, flow_specs) max-min instance."""
-    n_links = rng.randint(1, max_links)
-    caps = [rng.uniform(0.5, 100.0) for _ in range(n_links)]
-    flow_specs = []
-    for _ in range(rng.randint(1, max_flows)):
-        units = []
-        for _ in range(rng.randint(1, 3)):
-            k = rng.randint(1, min(4, n_links))
-            lids = rng.sample(range(n_links), k)
-            units.append([(lid, rng.uniform(0.25, 4.0)) for lid in lids])
-        flow_specs.append(units)
-    return caps, flow_specs
-
-
-def rates_of(flows):
-    return (
-        [f.rate for f in flows],
-        [u.rate for f in flows for u in f.units],
-    )
-
-
 def assert_allocations_match(caps, flow_specs, rel_tol=REL_TOL):
-    """Solve one instance with both solvers and compare everything."""
+    """Solve one instance with the numpy path and the oracle and compare
+    everything."""
     fs = build(flow_specs)
-    sat_s = solve_scalar(fs, caps)
+    sat_s = solve_scalar_oracle(fs, caps)
     fv = build(flow_specs)
     sat_v = solve_vector(fv, caps, min_units=0)
     assert sat_s == sat_v
@@ -116,7 +72,7 @@ class TestDifferential:
 
     def test_numpy_path_engages_above_dispatch_floor(self):
         """A large instance runs the real numpy path under the default
-        dispatch and still matches the scalar reference."""
+        dispatch and still matches the oracle."""
         rng = random.Random(99)
         flow_specs = []
         n_links = 40
@@ -128,7 +84,7 @@ class TestDifferential:
                 units.append([(lid, rng.uniform(0.25, 4.0)) for lid in lids])
             flow_specs.append(units)
         fs = build(flow_specs)
-        sat_s = solve_scalar(fs, caps)
+        sat_s = solve_scalar_oracle(fs, caps)
         fv = build(flow_specs)
         sat_v = solve_vector(fv, caps)  # default min_units: numpy path
         assert sat_s == sat_v
@@ -138,13 +94,13 @@ class TestDifferential:
 
     def test_small_instances_dispatch_bit_identically(self):
         """Below the floor ``solve_vector`` delegates to the scalar
-        loop, so results are exactly equal, not just close."""
+        fill, so results equal the oracle exactly, not just closely."""
         rng = random.Random(7)
         for _ in range(10):
             caps, flow_specs = random_instance(rng, max_links=6, max_flows=5)
             assert sum(len(u) for u in flow_specs) < VECTOR_MIN_UNITS
             fs = build(flow_specs)
-            sat_s = solve_scalar(fs, caps)
+            sat_s = solve_scalar_oracle(fs, caps)
             fv = build(flow_specs)
             sat_v = solve_vector(fv, caps)
             assert sat_s == sat_v
@@ -159,7 +115,7 @@ class TestDifferential:
         assert fv[0].units[0].rate == 4.0
         assert fv[0].rate == 4.0
         fs = build(spec)
-        assert solve_scalar(fs, caps) == []
+        assert solve_scalar_oracle(fs, caps) == []
         assert rates_of(fs) == rates_of(fv)
 
     @pytest.mark.parametrize("name", SOLVER_NAMES)
