@@ -4,7 +4,9 @@
 preset is checked against a committed JSON fixture, so a perf refactor
 that silently changes the *physics* (routing, flow control, replay
 semantics, metric extraction) fails loudly here even if every unit
-test still passes.
+test still passes. The packet grid is pinned in
+``golden_metrics.json``; the same grid on the flow backend (the
+production array fabric) in ``golden_flow_metrics.json``.
 
 Approved-update flow::
 
@@ -28,6 +30,7 @@ from repro.placement.policies import PLACEMENT_NAMES
 from repro.routing import ROUTING_NAMES
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_metrics.json"
+FLOW_GOLDEN_PATH = GOLDEN_PATH.with_name("golden_flow_metrics.json")
 
 #: Fixture identity: bump when the *intended* scenario changes (not
 #: when physics drifts — that is exactly what this test must catch).
@@ -43,14 +46,14 @@ SCENARIO = {
 REL_TOL = 1e-9
 
 
-@pytest.fixture(scope="module")
-def grid_summaries() -> dict[str, dict[str, float]]:
+def _grid(backend: str) -> dict[str, dict[str, float]]:
     cfg = repro.tiny()
     trace = repro.fill_boundary_trace(
         num_ranks=SCENARIO["ranks"], seed=SCENARIO["trace_seed"]
     ).scaled(SCENARIO["msg_scale"])
     result = TradeoffStudy(
-        cfg, {SCENARIO["app"]: trace}, seed=SCENARIO["study_seed"]
+        cfg, {SCENARIO["app"]: trace}, seed=SCENARIO["study_seed"],
+        backend=backend,
     ).run()
     return {
         f"{placement}-{routing}": result.runs[
@@ -61,29 +64,25 @@ def grid_summaries() -> dict[str, dict[str, float]]:
     }
 
 
-def test_grid_covers_full_nomenclature(grid_summaries):
-    assert len(grid_summaries) == len(PLACEMENT_NAMES) * len(ROUTING_NAMES) == 10
-
-
-def test_golden_summaries(grid_summaries, update_goldens):
-    if update_goldens:
-        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(
+def _check_golden(path: Path, summaries: dict, update: bool) -> None:
+    if update:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
             json.dumps(
-                {"scenario": SCENARIO, "summaries": grid_summaries},
+                {"scenario": SCENARIO, "summaries": summaries},
                 indent=2,
                 sort_keys=True,
             )
             + "\n"
         )
-    golden = json.loads(GOLDEN_PATH.read_text())
+    golden = json.loads(path.read_text())
     assert golden["scenario"] == SCENARIO, (
         "golden fixture was generated for a different scenario; "
         "regenerate with --update-goldens"
     )
     expected = golden["summaries"]
-    assert set(expected) == set(grid_summaries)
-    for label, summary in grid_summaries.items():
+    assert set(expected) == set(summaries)
+    for label, summary in summaries.items():
         assert set(summary) == set(expected[label]), label
         for key, value in summary.items():
             want = expected[label][key]
@@ -92,3 +91,26 @@ def test_golden_summaries(grid_summaries, update_goldens):
                 "(physics changed? regenerate with --update-goldens only "
                 "if the change is intended)"
             )
+
+
+@pytest.fixture(scope="module")
+def grid_summaries() -> dict[str, dict[str, float]]:
+    return _grid("packet")
+
+
+@pytest.fixture(scope="module")
+def flow_grid_summaries() -> dict[str, dict[str, float]]:
+    return _grid("flow")
+
+
+def test_grid_covers_full_nomenclature(grid_summaries):
+    assert len(grid_summaries) == len(PLACEMENT_NAMES) * len(ROUTING_NAMES) == 10
+
+
+def test_golden_summaries(grid_summaries, update_goldens):
+    _check_golden(GOLDEN_PATH, grid_summaries, update_goldens)
+
+
+def test_flow_golden_summaries(flow_grid_summaries, update_goldens):
+    assert len(flow_grid_summaries) == 10
+    _check_golden(FLOW_GOLDEN_PATH, flow_grid_summaries, update_goldens)
