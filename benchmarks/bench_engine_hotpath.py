@@ -1,8 +1,10 @@
 """Engine hot-path throughput benchmark (the repro.perf gate).
 
 Times the tiny-preset 5x2 placement x routing grid — the golden-metrics
-scenario, serial, cache off — under every scheduler with observability
-off and on, and reports wall-clock mean/stdev plus event throughput.
+scenario, serial, cache off — with observability off and on, and
+reports wall-clock mean/stdev plus event throughput. Configurations
+keep their historical ``heap/`` label prefix so ``BENCH_engine.json``
+stays comparable.
 This is the workload the PR-level speedup claims in ``BENCH_engine.json``
 are measured on, and the CI perf smoke gate compares against.
 
@@ -32,7 +34,6 @@ from pathlib import Path
 
 import repro
 from repro.core.study import TradeoffStudy
-from repro.engine.queues import SCHEDULER_NAMES
 from repro.obs import ObsConfig
 
 #: Versioned result-file schema.
@@ -49,7 +50,7 @@ SCENARIO = {
 }
 
 
-def _grid_once(scheduler: str, obs: bool) -> tuple[float, int]:
+def _grid_once(obs: bool) -> tuple[float, int]:
     """One full 5x2 grid run; returns (wall seconds, total events)."""
     cfg = repro.tiny()
     trace = repro.fill_boundary_trace(
@@ -61,7 +62,6 @@ def _grid_once(scheduler: str, obs: bool) -> tuple[float, int]:
         cfg,
         {SCENARIO["app"]: trace},
         seed=SCENARIO["study_seed"],
-        scheduler=scheduler,
         **kwargs,
     ).run()
     wall = time.perf_counter() - t0
@@ -70,34 +70,33 @@ def _grid_once(scheduler: str, obs: bool) -> tuple[float, int]:
 
 
 def bench(repeats: int, warmup: int = 1) -> dict:
-    """Time every (scheduler, obs) configuration; return the result doc."""
+    """Time the obs-off and obs-on configurations; return the result doc."""
     configs = {}
-    for scheduler in SCHEDULER_NAMES:
-        for obs in (False, True):
-            label = f"{scheduler}/{'obs_on' if obs else 'obs_off'}"
-            for _ in range(warmup):
-                _grid_once(scheduler, obs)
-            times = []
-            events = 0
-            for _ in range(repeats):
-                wall, events = _grid_once(scheduler, obs)
-                times.append(wall)
-            mean = statistics.mean(times)
-            configs[label] = {
-                "mean_s": round(mean, 4),
-                "stdev_s": round(
-                    statistics.stdev(times) if len(times) > 1 else 0.0, 4
-                ),
-                "min_s": round(min(times), 4),
-                "repeats": repeats,
-                "events": events,
-                "events_per_s": round(events / mean),
-            }
-            print(
-                f"{label:>18}: {mean:.4f}s +- {configs[label]['stdev_s']:.4f} "
-                f"({configs[label]['events_per_s']:,} ev/s)",
-                file=sys.stderr,
-            )
+    for obs in (False, True):
+        label = f"heap/{'obs_on' if obs else 'obs_off'}"
+        for _ in range(warmup):
+            _grid_once(obs)
+        times = []
+        events = 0
+        for _ in range(repeats):
+            wall, events = _grid_once(obs)
+            times.append(wall)
+        mean = statistics.mean(times)
+        configs[label] = {
+            "mean_s": round(mean, 4),
+            "stdev_s": round(
+                statistics.stdev(times) if len(times) > 1 else 0.0, 4
+            ),
+            "min_s": round(min(times), 4),
+            "repeats": repeats,
+            "events": events,
+            "events_per_s": round(events / mean),
+        }
+        print(
+            f"{label:>18}: {mean:.4f}s +- {configs[label]['stdev_s']:.4f} "
+            f"({configs[label]['events_per_s']:,} ev/s)",
+            file=sys.stderr,
+        )
     return {
         "schema": SCHEMA,
         "scenario": SCENARIO,

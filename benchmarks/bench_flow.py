@@ -11,21 +11,19 @@ serial, cache off:
 * ``contention`` (fabric gate): the small-preset crystal-router
   workload at 64 ranks, where thousands of concurrent flows contend on
   shared links and the max-min solver dominates.  Timed under
-  ``flow_obj`` (the frozen *object* fabric, the PR-7 baseline),
-  ``flow_vec`` (the array fabric, the production default), and
-  ``flow_batch`` (the array fabric with cells chunked through
-  :class:`repro.flow.BatchedFlowRunner`).  Packet is not timed here —
+  ``flow_obj`` (the *object* fabric, the baseline the array fabric
+  replaced, swapped into ``run_single`` for the run) and ``flow_vec``
+  (the array fabric ``run_single`` builds).  Packet is not timed here —
   at this scale a single packet run costs minutes and the
   cross-fidelity claim is already covered by ``xfid``.
 
 Reports wall-clock mean/stdev, grid cells per second, the
-flow-over-packet speedup (``xfid``), the array-fabric speedup over the
-object fabric (``contention``), and the batched-over-unbatched
-speedup.  Repeats are interleaved A/B (every configuration once per
-rep) so slow clock drift or thermal throttling biases every
-configuration equally instead of whichever ran last.  This is the
-workload behind the speedup claims in ``BENCH_flow.json`` and the CI
-flow-smoke / flow-batch-smoke gates.
+flow-over-packet speedup (``xfid``) and the array-fabric speedup over
+the object fabric (``contention``).  Repeats are interleaved A/B
+(every configuration once per rep) so slow clock drift or thermal
+throttling biases every configuration equally instead of whichever ran
+last.  This is the workload behind the speedup claims in
+``BENCH_flow.json`` and the CI flow smoke gate.
 
 Usage::
 
@@ -38,20 +36,16 @@ Usage::
 ``--compare`` exits non-zero when any configuration's cells/s fall
 more than ``--max-regression`` below the reference file, the measured
 flow speedup drops under ``--min-speedup`` (default 5x, the
-acceptance floor from DESIGN.md S16), the array-fabric speedup drops
-under ``--min-vec-speedup`` (default 1.5x, the S19 CI floor under the
-2x acceptance target), or the batched flow speedup drops under
-``--min-batch-speedup`` (default 0.9: on this serial single-machine
-workload batching is gated on *not hurting* — the route models are
-already process-warm, so the chunking can only recover task overhead;
-see DESIGN.md S18/S19 for the Amdahl analysis).
+acceptance floor from DESIGN.md S16), or the array-fabric speedup
+drops under ``--min-vec-speedup`` (default 1.5x, the S19 CI floor under
+the 2x acceptance target).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import os
 import platform
 import statistics
 import sys
@@ -60,14 +54,18 @@ from pathlib import Path
 
 import repro
 from repro.core.study import TradeoffStudy
+from repro.flow import fabric_array
+from repro.flow.fabric import FlowFabric
 from repro.flow.routes import BACKEND_NAMES
 
 #: Versioned result-file schema. v2 added the ``flow_batch``
 #: configuration and the ``batch_speedup`` field; v3 split the bench
 #: into the ``xfid`` and ``contention`` scenarios, added the
 #: ``flow_obj``/``flow_vec`` fabric pair and ``vec_speedup``, and
-#: redefined ``batch_speedup`` as flow_vec/flow_batch (both run the
-#: production array fabric).
+#: redefined ``batch_speedup`` as flow_vec/flow_batch. The
+#: ``flow_batch`` configuration, ``batch_speedup`` and the contention
+#: scenario's ``flow_batch`` parameter were later dropped without a
+#: bump: the gate reads only fields that remain.
 SCHEMA = "repro-bench-flow/v3"
 
 #: Scenario parameters. ``xfid`` keeps a non-degenerate message scale
@@ -94,14 +92,13 @@ SCENARIOS = {
         "trace_seed": 3,
         "msg_scale": 0.2,
         "study_seed": 7,
-        "flow_batch": 5,
     },
 }
 
-#: Timed configurations: scenario, backend, fabric pin, and batch
-#: chunk. ``flow`` measures the production default (array fabric);
-#: ``flow_obj`` measures the frozen object fabric, the PR-7 baseline
-#: the vec gate compares against.
+#: Timed configurations: scenario, backend, and fabric. ``flow``
+#: measures the array fabric ``run_single`` builds; ``flow_obj``
+#: measures the object fabric, the baseline the vec gate compares
+#: against.
 CONFIGS: dict[str, dict] = {
     "packet": {"scenario": "xfid", "backend": "packet", "fabric": None},
     "flow": {"scenario": "xfid", "backend": "flow", "fabric": "array"},
@@ -110,10 +107,6 @@ CONFIGS: dict[str, dict] = {
     },
     "flow_vec": {
         "scenario": "contention", "backend": "flow", "fabric": "array",
-    },
-    "flow_batch": {
-        "scenario": "contention", "backend": "flow", "fabric": "array",
-        "batch": True,
     },
 }
 
@@ -132,32 +125,36 @@ def _trace(sc: dict):
     return base.scaled(sc["msg_scale"])
 
 
+@contextlib.contextmanager
+def _object_fabric():
+    """Make ``run_single`` build the object fabric for the duration."""
+    array = fabric_array.ArrayFlowFabric
+    fabric_array.ArrayFlowFabric = FlowFabric
+    try:
+        yield
+    finally:
+        fabric_array.ArrayFlowFabric = array
+
+
 def _grid_once(config_name: str) -> tuple[float, int]:
     """One full 5x2 grid run; returns (wall seconds, grid cells)."""
     spec = CONFIGS[config_name]
     sc = SCENARIOS[spec["scenario"]]
-    flow_batch = sc.get("flow_batch", 0) if spec.get("batch") else 0
     cfg = getattr(repro, sc["preset"])()
     trace = _trace(sc)
-    fabric = spec["fabric"]
-    prev = os.environ.get("REPRO_FLOW_FABRIC")
-    if fabric is not None:
-        os.environ["REPRO_FLOW_FABRIC"] = fabric
-    try:
+    fabric = (
+        _object_fabric() if spec["fabric"] == "object"
+        else contextlib.nullcontext()
+    )
+    with fabric:
         t0 = time.perf_counter()
         result = TradeoffStudy(
             cfg,
             {sc["app"]: trace},
             seed=sc["study_seed"],
             backend=spec["backend"],
-        ).run(flow_batch=flow_batch)
+        ).run()
         wall = time.perf_counter() - t0
-    finally:
-        if fabric is not None:
-            if prev is None:
-                del os.environ["REPRO_FLOW_FABRIC"]
-            else:
-                os.environ["REPRO_FLOW_FABRIC"] = prev
     return wall, len(result.runs)
 
 
@@ -193,15 +190,11 @@ def bench(repeats: int, warmup: int = 1) -> dict:
         }
     speedup = configs["packet"]["mean_s"] / configs["flow"]["mean_s"]
     vec_speedup = configs["flow_obj"]["mean_s"] / configs["flow_vec"]["mean_s"]
-    batch_speedup = (
-        configs["flow_vec"]["mean_s"] / configs["flow_batch"]["mean_s"]
-    )
     print(f"flow speedup over packet: {speedup:.1f}x", file=sys.stderr)
     print(
         f"array-fabric speedup over object: {vec_speedup:.2f}x",
         file=sys.stderr,
     )
-    print(f"batched flow speedup: {batch_speedup:.2f}x", file=sys.stderr)
     return {
         "schema": SCHEMA,
         "scenarios": SCENARIOS,
@@ -210,7 +203,6 @@ def bench(repeats: int, warmup: int = 1) -> dict:
         "configs": configs,
         "speedup": round(speedup, 2),
         "vec_speedup": round(vec_speedup, 2),
-        "batch_speedup": round(batch_speedup, 2),
     }
 
 
@@ -219,7 +211,6 @@ def compare(
     ref_path: Path,
     max_regression: float,
     min_speedup: float,
-    min_batch_speedup: float,
     min_vec_speedup: float,
 ) -> int:
     """Gate ``doc`` against a reference file; returns the exit code."""
@@ -260,14 +251,6 @@ def compare(
     )
     if status != "OK":
         failed = True
-    status = "OK" if doc["batch_speedup"] >= min_batch_speedup else "REGRESSED"
-    print(
-        f"{status:>9}  batch speedup: {doc['batch_speedup']:.2f}x "
-        f"(floor {min_batch_speedup:.2f}x)",
-        file=sys.stderr,
-    )
-    if status != "OK":
-        failed = True
     return 1 if failed else 0
 
 
@@ -303,16 +286,6 @@ def main(argv: list[str] | None = None) -> int:
         help="minimum flow-over-packet speedup (default 5.0)",
     )
     parser.add_argument(
-        "--min-batch-speedup",
-        type=float,
-        default=0.9,
-        help=(
-            "minimum batched-over-unbatched flow speedup (default 0.9: "
-            "batching must not hurt on the serial reference workload, "
-            "with headroom for timer noise at the grid's short walls)"
-        ),
-    )
-    parser.add_argument(
         "--min-vec-speedup",
         type=float,
         default=1.5,
@@ -339,7 +312,6 @@ def main(argv: list[str] | None = None) -> int:
             Path(args.compare),
             args.max_regression,
             args.min_speedup,
-            args.min_batch_speedup,
             args.min_vec_speedup,
         )
     return 0

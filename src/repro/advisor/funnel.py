@@ -275,7 +275,6 @@ def _run_tier(
     flow_params: FlowParams | None,
     cache: ResultCache | None,
     max_workers: int,
-    flow_batch: int,
     timeout_s: float | None,
 ) -> tuple[list[float], TierReport]:
     """Simulate every candidate on ``backend``; scores in input order."""
@@ -301,7 +300,6 @@ def _run_tier(
         timeout_s=timeout_s,
         runner=simulate_epoch,
         strict=True,
-        flow_batch=flow_batch if backend == "flow" else 0,
     )
     wall = time.perf_counter() - start
     scores = [
@@ -331,7 +329,6 @@ def suggest_placement(
     seed: int = 0,
     cache: ResultCache | str | None = None,
     max_workers: int = 1,
-    flow_batch: int = 0,
     flow_params: FlowParams | None = None,
     timeout_s: float | None = None,
     exhaustive: bool = False,
@@ -410,7 +407,6 @@ def suggest_placement(
             flow_params=flow_params,
             cache=cache,
             max_workers=max_workers,
-            flow_batch=flow_batch,
             timeout_s=timeout_s,
         )
 

@@ -46,7 +46,6 @@ from repro.core.sensitivity import PAPER_SCALES, sensitivity_sweep
 from repro.cluster.scheduler import SCHED_POLICIES
 from repro.core.study import TradeoffStudy
 from repro.core.runner import run_single
-from repro.engine.queues import SCHEDULER_NAMES
 from repro.exec.progress import TextReporter
 from repro.flow import BACKEND_NAMES
 from repro.mpi.dumpi import load_trace
@@ -94,15 +93,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="disk result cache; re-runs only simulate changed cells",
     )
     p.add_argument(
-        "--flow-batch",
-        type=int,
-        default=0,
-        metavar="N",
-        help="batch flow-backend cells N at a time per executor task "
-        "(shared route-model reuse; a pure performance knob — results "
-        "and cache keys are identical at any batch size; 0 = off)",
-    )
-    p.add_argument(
         "--progress",
         action="store_true",
         help="print per-cell progress/ETA telemetry to stderr",
@@ -142,14 +132,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "flow-level approximation (default: packet)",
     )
     p.add_argument(
-        "--scheduler",
-        choices=SCHEDULER_NAMES,
-        default="heap",
-        help="engine event-queue implementation; a pure performance "
-        "knob — results are bit-identical under every choice "
-        "(default: heap)",
-    )
-    p.add_argument(
         "--faults",
         default=None,
         metavar="PLAN.json",
@@ -178,7 +160,6 @@ def _exec_opts(args) -> dict:
         "max_workers": args.workers,
         "cache_dir": args.cache_dir,
         "progress": TextReporter() if args.progress else None,
-        "flow_batch": args.flow_batch,
     }
 
 
@@ -449,11 +430,6 @@ def main(argv: list[str] | None = None) -> int:
         "(0 = off)",
     )
     p_cs.add_argument("--workers", type=int, default=1)
-    p_cs.add_argument(
-        "--flow-batch", type=int, default=0, metavar="N",
-        help="batch flow epoch cells N at a time per executor task "
-        "(results identical at any batch size; 0 = off)",
-    )
     p_cs.add_argument("--cache-dir", default=None, metavar="DIR")
     p_cs.add_argument("--progress", action="store_true")
     p_cs.add_argument("--faults", default=None, metavar="PLAN.json")
@@ -491,8 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         trace = _build_trace(args)
         result = TradeoffStudy(
             config, {args.app: trace}, seed=args.seed, obs=_obs_config(args),
-            scheduler=args.scheduler, faults=_fault_plan(args, config),
-            backend=args.backend,
+            faults=_fault_plan(args, config), backend=args.backend,
         ).run(verbose=True, **_exec_opts(args))
         _export_study_obs(result, args)
         print()
@@ -519,8 +494,8 @@ def main(argv: list[str] | None = None) -> int:
         scales = PAPER_SCALES[args.app]
         sens = sensitivity_sweep(
             config, trace, scales, seed=args.seed, obs=_obs_config(args),
-            scheduler=args.scheduler, faults=_fault_plan(args, config),
-            backend=args.backend, **_exec_opts(args),
+            faults=_fault_plan(args, config), backend=args.backend,
+            **_exec_opts(args),
         )
         rel = sens.relative()
         print(
@@ -542,8 +517,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         result = interference_study(
             config, trace, spec, seed=args.seed, obs=_obs_config(args),
-            scheduler=args.scheduler, faults=_fault_plan(args, config),
-            backend=args.backend, **_exec_opts(args),
+            faults=_fault_plan(args, config), backend=args.backend,
+            **_exec_opts(args),
         )
         _export_study_obs(result, args)
         print(
@@ -571,7 +546,6 @@ def main(argv: list[str] | None = None) -> int:
             fault_seed=args.fault_seed,
             router_rate=args.router_rate,
             obs=_obs_config(args),
-            scheduler=args.scheduler,
             **_exec_opts(args),
         )
         print(f"{args.app} communication-time degradation vs healthy (%)")
@@ -600,7 +574,6 @@ def main(argv: list[str] | None = None) -> int:
             config,
             {args.app: trace},
             seed=args.seed,
-            scheduler=args.scheduler,
             **_exec_opts(args),
         )
         print(fid.format_table())
@@ -648,7 +621,6 @@ def main(argv: list[str] | None = None) -> int:
             traces,
             seed=args.seed,
             backend=args.backend,
-            scheduler=args.scheduler,
             **_exec_opts(args),
         )
         print(report.format_table())
@@ -671,8 +643,8 @@ def main(argv: list[str] | None = None) -> int:
             trace = load_trace(args.trace_file)
         result = run_single(
             config, trace, args.placement, args.routing, seed=args.seed,
-            obs=_obs_config(args), scheduler=args.scheduler,
-            faults=_fault_plan(args, config), backend=args.backend,
+            obs=_obs_config(args), faults=_fault_plan(args, config),
+            backend=args.backend,
         )
         s = result.metrics.summary()
         for k, v in s.items():
@@ -712,7 +684,6 @@ def main(argv: list[str] | None = None) -> int:
                 progress=TextReporter() if args.progress else None,
                 validate_every=args.validate_every,
                 faults=_fault_plan(args, config),
-                flow_batch=args.flow_batch,
                 surrogate_model=surrogate_model,
             )
         except ValueError as exc:
@@ -770,7 +741,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             cache=args.cache_dir,
             max_workers=args.workers,
-            flow_batch=args.flow_batch,
             exhaustive=args.exhaustive,
         )
         print(res.format_table())

@@ -143,7 +143,7 @@ def simulate_epoch(
     if epoch is None:
         raise ValueError("simulate_epoch requires spec.epoch")
     topo = build_topology(config.topology)
-    sim = Simulator(scheduler=spec.scheduler)
+    sim = Simulator()
     fault_plan = None
     if spec.faults is not None and not spec.faults.is_empty():
         if spec.backend == "flow":
@@ -153,7 +153,9 @@ def simulate_epoch(
     if spec.backend == "flow":
         from repro.flow.fabric import FlowFabric
 
-        fabric = FlowFabric(sim, topo, config.network, spec.routing)
+        fabric = FlowFabric(
+            sim, topo, config.network, spec.routing, spec.flow_params
+        )
     else:
         if fault_plan is not None:
             from repro.faults.routing import make_fault_aware_routing
@@ -272,7 +274,6 @@ def run_stream(
     max_events: int | None = DEFAULT_MAX_EVENTS,
     timeout_s: float | None = None,
     jobs: list[StreamJob] | None = None,
-    flow_batch: int = 0,
     surrogate_model=None,
 ) -> StreamResult:
     """Drive one seeded cluster stream end to end.
@@ -298,9 +299,7 @@ def run_stream(
 
     Determinism: identical arguments yield an identical
     :class:`~repro.cluster.accounting.StreamResult` for any
-    ``max_workers`` (and any ``flow_batch`` — batching flow epoch
-    cells through :class:`~repro.flow.batch.BatchedFlowRunner` is pure
-    scheduling), and identical epoch-cell keys across runs — a warm
+    ``max_workers``, and identical epoch-cell keys across runs — a warm
     ``cache`` makes a re-run simulate zero cells.
     """
     wall_start = time.perf_counter()
@@ -474,7 +473,6 @@ def run_stream(
             timeout_s=timeout_s,
             runner=simulate_epoch,
             strict=True,
-            flow_batch=flow_batch,
         )
         counters["cells_planned"] += report.planned
         counters["cells_simulated"] += report.done

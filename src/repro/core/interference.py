@@ -87,10 +87,8 @@ def interference_study(
     cache_dir=None,
     progress=None,
     obs=None,
-    scheduler: str = "heap",
     faults=None,
     backend: str = "packet",
-    flow_batch: int = 0,
 ) -> StudyResult:
     """Run the placement x routing grid with background traffic.
 
@@ -107,13 +105,11 @@ def interference_study(
         compute_scale=compute_scale,
         background=background,
         obs=obs,
-        scheduler=scheduler,
         faults=faults,
         backend=backend,
     )
     return study.run(
-        max_workers=max_workers, cache_dir=cache_dir, progress=progress,
-        flow_batch=flow_batch,
+        max_workers=max_workers, cache_dir=cache_dir, progress=progress
     )
 
 

@@ -141,9 +141,7 @@ def resilience_study(
     cache_dir=None,
     progress=None,
     obs=None,
-    scheduler: str = "heap",
     backend: str = "packet",
-    flow_batch: int = 0,
 ) -> ResilienceResult:
     """Sweep failure rate over the placement x routing grid.
 
@@ -184,12 +182,10 @@ def resilience_study(
             seed=seed,
             compute_scale=compute_scale,
             obs=obs,
-            scheduler=scheduler,
             faults=plan,
             backend=backend,
         ).run(
-            max_workers=max_workers, cache_dir=cache_dir, progress=progress,
-            flow_batch=flow_batch,
+            max_workers=max_workers, cache_dir=cache_dir, progress=progress
         )
     return ResilienceResult(
         tuple(all_rates), studies, plans, fault_seed=fault_seed

@@ -77,7 +77,6 @@ def run_single(
     record_sends: bool = False,
     max_events: int | None = 50_000_000,
     obs: ObsConfig | None = None,
-    scheduler: str = "heap",
     faults=None,
     backend: str = "packet",
     flow_params=None,
@@ -95,10 +94,6 @@ def run_single(
     Observation never changes the physics — metrics are bit-identical
     with and without it.
 
-    ``scheduler`` selects the engine's event-queue implementation
-    (``"heap"`` or ``"calendar"``); a pure performance knob — results
-    are bit-identical under either (see DESIGN.md S14).
-
     ``faults`` is an optional :class:`~repro.faults.FaultPlan` (DESIGN.md
     §S15): nodes on failed routers are fenced before placement, the
     fault-aware variants of the routing policies are substituted, and
@@ -108,10 +103,11 @@ def run_single(
 
     ``backend`` selects the simulation model: ``"packet"`` (default) is
     the exact packet-level engine; ``"flow"`` is the fluid max-min model
-    (:mod:`repro.flow`, DESIGN.md S16) — orders of magnitude faster,
-    emitting the same metric set. Unlike ``scheduler``, the backend
-    *does* change results, so it is part of the exec cache identity.
-    The flow backend does not support ``obs`` or fault injection.
+    (:mod:`repro.flow`, DESIGN.md S16) on the array-state fabric
+    (:class:`~repro.flow.fabric_array.ArrayFlowFabric`) — orders of
+    magnitude faster, emitting the same metric set. The backend changes
+    results, so it is part of the exec cache identity. The flow backend
+    does not support ``obs`` or fault injection.
 
     ``flow_params`` is an optional
     :class:`~repro.flow.routes.FlowParams` overriding the flow
@@ -150,14 +146,12 @@ def run_single(
             machine.mark_down(dead_nodes)
     nodes = machine.allocate(placement, trace.num_ranks, seed=seed)
 
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     routing_policy = None
     if backend == "flow":
-        from repro.flow.fabric import make_flow_fabric
+        from repro.flow.fabric_array import ArrayFlowFabric
 
-        fabric = make_flow_fabric(
-            sim, topo, config.network, routing, params=flow_params
-        )
+        fabric = ArrayFlowFabric(sim, topo, config.network, routing, flow_params)
     else:
         if fault_plan is not None:
             from repro.faults.routing import make_fault_aware_routing

@@ -87,10 +87,8 @@ def sensitivity_sweep(
     cache_dir=None,
     progress=None,
     obs=None,
-    scheduler: str = "heap",
     faults=None,
     backend: str = "packet",
-    flow_batch: int = 0,
 ) -> SensitivityResult:
     """Run the message-size sweep for one application.
 
@@ -107,7 +105,7 @@ def sensitivity_sweep(
 
     plan = plan_sensitivity(
         config, trace, scales, configs, seed=seed, compute_scale=compute_scale,
-        obs=obs, scheduler=scheduler, faults=faults, backend=backend,
+        obs=obs, faults=faults, backend=backend,
     )
     report = execute_plan(
         plan,
@@ -115,7 +113,6 @@ def sensitivity_sweep(
         cache=cache_dir,
         progress=progress,
         strict=True,
-        flow_batch=flow_batch,
     )
     # Plan order is scale-major then config, so per-label appends land
     # in scale order exactly as the serial loop produced them.

@@ -37,7 +37,6 @@ class TradeoffStudy:
         background=None,
         record_sends: bool = False,
         obs=None,
-        scheduler: str = "heap",
         faults=None,
         backend: str = "packet",
     ) -> None:
@@ -54,7 +53,6 @@ class TradeoffStudy:
         self.background = background
         self.record_sends = record_sends
         self.obs = obs
-        self.scheduler = scheduler
         self.faults = faults
         self.backend = backend
 
@@ -70,7 +68,6 @@ class TradeoffStudy:
             background=self.background,
             record_sends=self.record_sends,
             obs=self.obs,
-            scheduler=self.scheduler,
             faults=self.faults,
             backend=self.backend,
         )
@@ -83,7 +80,6 @@ class TradeoffStudy:
         progress=None,
         timeout_s: float | None = None,
         retries: int = 1,
-        flow_batch: int = 0,
     ) -> "StudyResult":
         """Execute the full grid and collect results.
 
@@ -94,9 +90,6 @@ class TradeoffStudy:
         enables the disk result cache so a re-run only simulates
         changed cells; ``progress`` receives
         :class:`~repro.exec.progress.ProgressEvent` telemetry.
-        ``flow_batch > 1`` batches flow-backend cells that many at a
-        time per executor task (results unchanged; packet cells are
-        unaffected).
         """
         plan = self.plan()
         report = execute_plan(
@@ -108,7 +101,6 @@ class TradeoffStudy:
             retries=retries,
             ipc_send_events=self.record_sends,
             strict=True,
-            flow_batch=flow_batch,
         )
         runs: dict[tuple[str, str, str], RunResult] = {}
         for spec, outcome in zip(plan.specs, report.outcomes):

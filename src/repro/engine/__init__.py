@@ -6,13 +6,6 @@ C); a sequential engine produces identical simulated results for a given
 seed, trading only wall-clock time (see DESIGN.md substitutions).
 """
 
-from repro.engine.queues import (
-    SCHEDULER_NAMES,
-    CalendarQueue,
-    EventQueue,
-    HeapQueue,
-    make_queue,
-)
 from repro.engine.simulator import Simulator
 from repro.engine.rng import rng_stream, spawn_seed
 
@@ -20,9 +13,4 @@ __all__ = [
     "Simulator",
     "rng_stream",
     "spawn_seed",
-    "SCHEDULER_NAMES",
-    "EventQueue",
-    "HeapQueue",
-    "CalendarQueue",
-    "make_queue",
 ]

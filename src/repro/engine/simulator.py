@@ -1,36 +1,28 @@
 """The event calendar.
 
 Hot-path notes (per the HPC-Python guides: profile first, keep the inner
-loop allocation-light): events are plain tuples in a pluggable
-:class:`~repro.engine.queues.EventQueue`; the monotonically increasing
-sequence number both breaks time ties deterministically and avoids ever
-comparing callbacks. Because ``(time, seq)`` is a *total* order, every
-correct queue implementation pops the same push sequence in the same
-order — the scheduler choice is a pure performance knob.
+loop allocation-light): events are plain ``(time, seq, callback, args)``
+tuples on a binary heap (the C-accelerated ``heapq``); the monotonically
+increasing sequence number both breaks time ties deterministically and
+avoids ever comparing callbacks. ``(time, seq)`` is a *total* order, so
+the pop order is fully determined by the push sequence.
 """
 
 from __future__ import annotations
 
 import heapq
 import sys
+from functools import partial
 from typing import Any, Callable
-
-from repro.engine.queues import HeapQueue, make_queue
 
 __all__ = ["Simulator"]
 
 
 class Simulator:
-    """A sequential discrete-event simulator with a pluggable calendar.
-
-    ``scheduler`` selects the event-queue implementation (``"heap"`` —
-    the default binary heap — or ``"calendar"``, a bucketed calendar
-    queue); results are bit-identical under either.
-    """
+    """A sequential discrete-event simulator over a binary-heap calendar."""
 
     __slots__ = (
         "now",
-        "scheduler",
         "_queue",
         "_push",
         "_seq",
@@ -39,11 +31,11 @@ class Simulator:
         "_hb_next",
     )
 
-    def __init__(self, scheduler: str = "heap") -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self.scheduler: str = scheduler
-        self._queue = make_queue(scheduler)
-        self._push = self._queue.push  # pre-bound: at() is hot
+        self._queue: list = []
+        # Pre-bound C call with no Python frame: at() is hot.
+        self._push = partial(heapq.heappush, self._queue)
         self._seq: int = 0
         self._events_run: int = 0
         # Heartbeats: [next_fire_time, interval, fn] triples, fired at
@@ -168,16 +160,13 @@ class Simulator:
         ``stop`` is polled after every event, and ``max_events`` guards
         against runaway simulations.
         """
-        queue = self._queue
-        if type(queue) is HeapQueue:
-            if until is None:
-                return self._run_heap_fast(
-                    queue.heap,
-                    stop,
-                    sys.maxsize if max_events is None else max_events,
-                )
-            return self._run_heap(queue.heap, until, stop, max_events)
-        return self._run_generic(queue, until, stop, max_events)
+        if until is None:
+            return self._run_heap_fast(
+                self._queue,
+                stop,
+                sys.maxsize if max_events is None else max_events,
+            )
+        return self._run_heap(self._queue, until, stop, max_events)
 
     def _run_heap_fast(
         self, queue: list, stop: Callable[[], bool] | None, max_events: int
@@ -187,7 +176,7 @@ class Simulator:
 
         ``max_events`` arrives as a plain int (``sys.maxsize`` when the
         caller passed ``None``), so the guard is a single integer
-        comparison instead of the generic loop's per-event ``is not
+        comparison instead of :meth:`_run_heap`'s per-event ``is not
         None`` tests — measurable at hundreds of thousands of events per
         run.
         """
@@ -224,7 +213,8 @@ class Simulator:
         stop: Callable[[], bool] | None,
         max_events: int | None,
     ) -> float:
-        """Heap fast path: pop eagerly, push back on the rare deferral.
+        """Heap loop with the ``until`` horizon: pop eagerly, push back
+        on the rare deferral.
 
         Deferral (a due heartbeat or the ``until`` horizon) pushes the
         popped event back unchanged — its ``(time, seq)`` key is intact,
@@ -250,49 +240,6 @@ class Simulator:
                     break
                 if heartbeats and self._hb_next <= time:
                     push(queue, ev)
-                    self._fire_heartbeats(time)
-                    continue  # a heartbeat may have scheduled new events
-                self.now = time
-                ev[2](*ev[3])
-                events_run += 1
-                if stop is not None and stop():
-                    break
-                if max_events is not None and events_run >= max_events:
-                    raise RuntimeError(
-                        f"simulation exceeded {max_events} events; "
-                        "likely runaway traffic generation"
-                    )
-        finally:
-            self._events_run = events_run
-        return self.now
-
-    def _run_generic(
-        self,
-        queue,
-        until: float | None,
-        stop: Callable[[], bool] | None,
-        max_events: int | None,
-    ) -> float:
-        """Protocol path: pop eagerly, push back on deferral.
-
-        Pushing an event back is order-safe because its ``(time, seq)``
-        key is unchanged — it re-pops first among the still-queued.
-        """
-        pop, push = queue.pop, queue.push
-        heartbeats = self._heartbeats
-        events_run = self._events_run
-        try:
-            while queue:
-                ev = pop()
-                time = ev[0]
-                if until is not None and time > until:
-                    push(ev)
-                    if heartbeats and self._hb_next <= until:
-                        self._fire_heartbeats(until)
-                    self.now = until
-                    break
-                if heartbeats and self._hb_next <= time:
-                    push(ev)
                     self._fire_heartbeats(time)
                     continue  # a heartbeat may have scheduled new events
                 self.now = time

@@ -57,15 +57,13 @@ __all__ = [
 #: RunResult.extra carries per-job epoch telemetry); v6 = vectorized
 #: flow solver became the default (scalar/vector agree only to rel err
 #: ~1e-12, so cached flow results may shift in the last bits) and the
-#: fabric wake re-arm gained the one-ulp collapse guard. The solver
-#: knob itself and ``flow_batch`` are pure performance knobs and stay
-#: OUT of the identity, like ``scheduler``; v7 = the array flow fabric
-#: became the default for ``run_single`` flow cells and specs grew a
-#: ``flow_params`` field (``None``/default normalise to the pre-v7
-#: payload shape). The fabric knob stays OUT of the identity, though
-#: object and array results are not always last-bit close: a one-ulp
-#: shift can change event order, and one seed-1 stream epoch cell moves
-#: a job's makespan by 1.5e-5 relative between them (DESIGN.md §14);
+#: fabric wake re-arm gained the one-ulp collapse guard; v7 = the array
+#: flow fabric became the fabric of ``run_single`` flow cells and specs
+#: grew a ``flow_params`` field (``None``/default normalise to the
+#: pre-v7 payload shape). Epoch cells stay on the object fabric; object
+#: and array results are not always last-bit close: a one-ulp shift can
+#: change event order, and one seed-1 stream epoch cell moves a job's
+#: makespan by 1.5e-5 relative between them (DESIGN.md §14);
 #: v8 = repro.mlcomms (the DL training app family: new collective
 #: expansions and app names share the cache namespace, so the bump
 #: keeps any pre-training-era cache from ever colliding with the new
@@ -144,21 +142,15 @@ class RunSpec:
     entry with an unobserved one. ``tags`` is free-form labelling (e.g.
     ``("scale=0.5",)``) that is part of the identity hash.
 
-    ``scheduler`` picks the engine's event-queue implementation and is
-    deliberately **excluded** from the identity hash: results are
-    bit-identical under every scheduler (the cross-scheduler determinism
-    test enforces this), so cells cached under one scheduler are valid
-    hits for any other.
-
     ``faults`` is an optional :class:`~repro.faults.FaultPlan`. Its
     content digest enters the identity hash; an *empty* plan hashes as
     ``None`` (the runner executes the identical healthy code path for
     both, so they must share a cache entry).
 
     ``backend`` selects the simulation model (``"packet"`` or
-    ``"flow"``, see :mod:`repro.flow`). Unlike ``scheduler`` it **does**
-    change results, so it is part of the identity hash: a flow cell
-    never shares a cache entry with its packet twin.
+    ``"flow"``, see :mod:`repro.flow`). It changes results, so it is
+    part of the identity hash: a flow cell never shares a cache entry
+    with its packet twin.
 
     ``epoch`` is an optional
     :class:`~repro.cluster.engine.EpochSpec` — a co-scheduled snapshot
@@ -181,7 +173,6 @@ class RunSpec:
     max_events: int | None = DEFAULT_MAX_EVENTS
     tags: tuple[str, ...] = ()
     obs: Any = None
-    scheduler: str = "heap"
     faults: Any = None
     backend: str = "packet"
     epoch: Any = None
@@ -189,7 +180,11 @@ class RunSpec:
     #: Part of the identity hash when it differs from the defaults —
     #: model knobs change results. ``None`` and the default params
     #: normalise to the same key, and packet cells always hash it as
-    #: ``None``, so existing plans keep their keys.
+    #: ``None``, so existing plans keep their keys. Epoch cells with
+    #: non-default params also hash an ``epoch_fabric`` marker: before
+    #: :func:`~repro.cluster.engine.simulate_epoch` passed the params to
+    #: its fabric, such cells were simulated with the defaults, and the
+    #: marker keeps those cached results from being served.
     flow_params: Any = None
 
     @property
@@ -234,6 +229,8 @@ class RunSpec:
 
             if self.flow_params != FlowParams():
                 flow_params = dataclasses.asdict(self.flow_params)
+                if self.epoch is not None:
+                    flow_params["epoch_fabric"] = True
         payload = json.dumps(
             {
                 "salt": CODE_SALT,
@@ -252,8 +249,6 @@ class RunSpec:
                 "faults": faults,
                 "backend": self.backend,
                 "epoch": epoch,
-                # NB: `scheduler` is intentionally absent — it cannot
-                # change results, so it must not split the cache.
                 **({"flow_params": flow_params} if flow_params else {}),
             },
             sort_keys=True,
@@ -296,7 +291,6 @@ def plan_grid(
     record_sends: bool = False,
     max_events: int | None = DEFAULT_MAX_EVENTS,
     obs: Any = None,
-    scheduler: str = "heap",
     faults: Any = None,
     backend: str = "packet",
 ) -> ExperimentPlan:
@@ -320,7 +314,6 @@ def plan_grid(
             record_sends=record_sends,
             max_events=max_events,
             obs=obs,
-            scheduler=scheduler,
             faults=faults,
             backend=backend,
         )
@@ -340,7 +333,6 @@ def plan_sensitivity(
     compute_scale: float = 0.0,
     max_events: int | None = DEFAULT_MAX_EVENTS,
     obs: Any = None,
-    scheduler: str = "heap",
     faults: Any = None,
     backend: str = "packet",
 ) -> ExperimentPlan:
@@ -371,7 +363,6 @@ def plan_sensitivity(
                     max_events=max_events,
                     tags=(f"scale={scale:g}",),
                     obs=obs,
-                    scheduler=scheduler,
                     faults=faults,
                     backend=backend,
                 )

@@ -29,21 +29,10 @@ Results crossing a process boundary are slimmed for IPC: the optional
 ``record_sends`` payload (``job.send_events``, one tuple per message)
 is dropped unless ``ipc_send_events=True``, since it can dwarf every
 other field combined.
-
-``flow_batch > 1`` enables the batched execution mode for flow-backend
-cells: uncached cells whose spec says ``backend="flow"`` are grouped
-into chunks of that size and each chunk runs as **one** task through
-:func:`repro.flow.batch.run_flow_batch` (shared route-model prewarm,
-one submission per chunk instead of per cell). Batching is scheduling
-only — cells keep their individual cache keys, retries, and outcomes,
-results are bit-identical to the unbatched path, and the batch size is
-deliberately NOT part of the cache identity. Non-flow cells in the same
-plan take the ordinary path.
 """
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
 import time
@@ -80,7 +69,7 @@ def simulate_spec(
     config, spec: RunSpec, trace: JobTrace
 ) -> RunResult:
     """Default cell runner: one ``run_single`` with the spec's inputs."""
-    result = run_single(
+    return run_single(
         config,
         trace,
         spec.placement,
@@ -91,30 +80,10 @@ def simulate_spec(
         record_sends=spec.record_sends,
         max_events=spec.max_events,
         obs=spec.obs,
-        scheduler=getattr(spec, "scheduler", "heap"),
         faults=getattr(spec, "faults", None),
         backend=getattr(spec, "backend", "packet"),
         flow_params=getattr(spec, "flow_params", None),
     )
-    if (
-        getattr(spec, "backend", "packet") == "flow"
-        and os.environ.get("REPRO_FLOW_MODEL_CACHE")
-    ):
-        # Persist this cell's (now warm) route model so sibling
-        # processes skip the derivation. Cheap when the digest already
-        # exists on disk; loading happened inside flow_route_model.
-        from repro.core.runner import build_topology
-        from repro.flow import modelcache
-        from repro.flow.routes import flow_route_model
-
-        model = flow_route_model(
-            build_topology(config.topology),
-            config.network,
-            spec.routing,
-            getattr(spec, "flow_params", None),
-        )
-        modelcache.save_from(model)
-    return result
 
 
 def _call_with_timeout(fn, args, timeout_s: float | None):
@@ -152,19 +121,6 @@ def _pool_entry(runner, config, spec, trace, timeout_s, keep_sends):
     if not keep_sends and getattr(result, "job", None) is not None:
         result.job.send_events = None
     return result, time.perf_counter() - start
-
-
-def _pool_batch_entry(runner, config, items, timeout_s, keep_sends):
-    """Worker-side task: one batch of flow cells, per-cell payloads.
-
-    Imported lazily because ``repro.flow`` transitively imports this
-    module (fidelity -> core.study -> exec.pool).
-    """
-    from repro.flow.batch import run_flow_batch
-
-    return run_flow_batch(
-        runner, config, items, timeout_s=timeout_s, keep_sends=keep_sends
-    )
 
 
 @dataclass
@@ -238,7 +194,6 @@ def execute_plan(
     runner=None,
     ipc_send_events: bool = False,
     strict: bool = False,
-    flow_batch: int = 0,
 ) -> ExecutionReport:
     """Execute every cell of ``plan`` and report outcomes in plan order.
 
@@ -249,9 +204,7 @@ def execute_plan(
     the cell function (module-level callable ``(config, spec, trace) ->
     RunResult``; must be picklable for the parallel path). With
     ``strict=True`` an :class:`ExecutionError` is raised if any cell
-    remains failed. ``flow_batch > 1`` groups uncached flow-backend
-    cells into chunks of that size, each chunk running as one batched
-    task (see module docstring); results and cache keys are unchanged.
+    remains failed.
     """
     if isinstance(cache, (str, Path)):
         cache = ResultCache(cache)
@@ -272,21 +225,6 @@ def execute_plan(
             tracker.cell_cached(spec)
         else:
             pending.append(i)
-
-    if pending and flow_batch > 1:
-        batchable = [
-            i for i in pending
-            if getattr(plan.specs[i], "backend", "packet") == "flow"
-        ]
-        if len(batchable) > 1:
-            outcomes.update(
-                _run_batched(
-                    plan, batchable, runner, max_workers, cache, tracker,
-                    timeout_s, retries, ipc_send_events, flow_batch,
-                )
-            )
-            taken = set(batchable)
-            pending = [i for i in pending if i not in taken]
 
     if pending:
         use_serial = max_workers <= 1
@@ -428,116 +366,6 @@ def _run_parallel(
                     )
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-        queue = sorted(resubmit)
-
-    return outcomes
-
-
-def _run_batched(
-    plan, pending, runner, max_workers, cache, tracker,
-    timeout_s, retries, ipc_send_events, flow_batch,
-) -> dict[int, CellOutcome]:
-    """Batched execution of flow cells, chunked ``flow_batch`` at a time.
-
-    Each chunk is one task (in-process when ``max_workers<=1``, one
-    pool submission otherwise) returning per-cell payloads, so a cell
-    that fails inside a chunk is retried individually — re-chunked with
-    the other survivors on the next generation — while its batch-mates'
-    results land normally. A worker crash (``BrokenProcessPool``)
-    poisons every in-flight chunk of that pool generation; as in
-    :func:`_run_parallel`, every affected cell has its attempt counted
-    and survivors are resubmitted on a fresh pool. If a pool cannot be
-    created at all, chunks run in-process instead — batching never
-    *requires* a pool.
-    """
-    outcomes: dict[int, CellOutcome] = {}
-    attempts = {i: 0 for i in pending}
-    queue = list(pending)
-    serial = max_workers <= 1
-
-    def _absorb(chunk, payloads, resubmit):
-        for i, (status, value, wall) in zip(chunk, payloads):
-            spec = plan.specs[i]
-            if status == "ok":
-                if cache is not None:
-                    cache.put(spec.key, value)
-                outcomes[i] = CellOutcome(
-                    spec, "done", result=value,
-                    attempts=attempts[i], wall_s=wall,
-                )
-                tracker.cell_done(
-                    spec, wall, attempts[i],
-                    sim_wall_s=getattr(value, "wall_s", None),
-                )
-            elif attempts[i] <= retries:
-                tracker.cell_retry(spec, value, attempts[i])
-                resubmit.append(i)
-            else:
-                outcomes[i] = CellOutcome(
-                    spec, "failed", error=value,
-                    attempts=attempts[i], wall_s=wall,
-                )
-                tracker.cell_failed(spec, value, wall, attempts[i])
-
-    while queue:
-        chunks = [
-            queue[k:k + flow_batch] for k in range(0, len(queue), flow_batch)
-        ]
-        resubmit: list[int] = []
-        if serial:
-            from repro.flow.batch import run_flow_batch
-
-            for chunk in chunks:
-                items = []
-                for i in chunk:
-                    spec = plan.specs[i]
-                    attempts[i] += 1
-                    tracker.cell_start(spec, attempt=attempts[i])
-                    items.append((spec, plan.trace_for(spec)))
-                payloads = run_flow_batch(
-                    runner, plan.config, items,
-                    timeout_s=timeout_s, keep_sends=True,
-                )
-                _absorb(chunk, payloads, resubmit)
-        else:
-            try:
-                pool = ProcessPoolExecutor(max_workers=max_workers)
-            except (OSError, NotImplementedError):
-                serial = True  # in-process chunks; attempts untouched
-                continue
-            try:
-                futures = {}
-                for chunk in chunks:
-                    items = []
-                    for i in chunk:
-                        spec = plan.specs[i]
-                        attempts[i] += 1
-                        tracker.cell_start(spec, attempt=attempts[i])
-                        items.append((spec, plan.trace_for(spec)))
-                    fut = pool.submit(
-                        _pool_batch_entry, runner, plan.config, items,
-                        timeout_s, ipc_send_events,
-                    )
-                    futures[fut] = chunk
-                not_done = set(futures)
-                while not_done:
-                    finished, not_done = wait(
-                        not_done, return_when=FIRST_COMPLETED
-                    )
-                    for fut in finished:
-                        chunk = futures[fut]
-                        try:
-                            payloads = fut.result()
-                        except Exception as exc:  # noqa: BLE001
-                            # Whole-chunk failure (crash/poisoned pool):
-                            # synthesize per-cell error payloads so the
-                            # shared retry accounting applies.
-                            payloads = [
-                                ("err", repr(exc), 0.0) for _ in chunk
-                            ]
-                        _absorb(chunk, payloads, resubmit)
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
         queue = sorted(resubmit)
 
     return outcomes

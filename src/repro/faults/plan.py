@@ -433,7 +433,7 @@ def install_plan(sim, fabric, plan: FaultPlan) -> int:
     Faults at t=0 are applied immediately (before any event runs);
     later onsets are scheduled as ordinary calendar events, so they are
     totally ordered against packet events by ``(time, seq)`` and every
-    scheduler executes them identically. Returns the number of directed
+    run executes them identically. Returns the number of directed
     link faults installed.
     """
     events = plan.materialize(fabric.topo)

@@ -9,13 +9,7 @@ the CLI); validate it against the exact engine with
 :func:`~repro.flow.fidelity.fidelity_report`.
 """
 
-from repro.flow.batch import BatchedFlowRunner, run_flow_batch
-from repro.flow.fabric import (
-    DEFAULT_FABRIC,
-    FABRIC_NAMES,
-    FlowFabric,
-    make_flow_fabric,
-)
+from repro.flow.fabric import FlowFabric
 from repro.flow.fabric_array import ArrayFlowFabric
 from repro.flow.fidelity import FidelityReport, fidelity_report, kendall_tau
 from repro.flow.routes import (
@@ -24,32 +18,18 @@ from repro.flow.routes import (
     FlowParams,
     FlowRouteModel,
 )
-from repro.flow.solver import (
-    DEFAULT_SOLVER,
-    SOLVER_NAMES,
-    get_solver,
-    solve_scalar,
-    solve_vector,
-)
+from repro.flow.solver import solve_scalar, solve_vector
 
 __all__ = [
     "ArrayFlowFabric",
     "BACKEND_NAMES",
-    "BatchedFlowRunner",
-    "DEFAULT_FABRIC",
-    "DEFAULT_SOLVER",
-    "FABRIC_NAMES",
     "FlowFabric",
     "FlowEntry",
     "FlowParams",
     "FlowRouteModel",
     "FidelityReport",
-    "SOLVER_NAMES",
     "fidelity_report",
-    "get_solver",
     "kendall_tau",
-    "make_flow_fabric",
-    "run_flow_batch",
     "solve_scalar",
     "solve_vector",
 ]

@@ -48,76 +48,36 @@ unchanged:
   buffers-exhausted stall time.
 
 All wake-ups are ordinary ``(time, seq)`` simulator events, so results
-are bit-identical across schedulers and worker counts, exactly like the
+are bit-identical across runs and worker counts, exactly like the
 packet backend.
+
+This object-per-flow fabric is what cluster epoch cells
+(:func:`~repro.cluster.engine.simulate_epoch`) run on; ``run_single``
+builds its array-state twin,
+:class:`~repro.flow.fabric_array.ArrayFlowFabric`. The two agree to
+relative error below ``1e-9`` on the differential harness's grids, but
+not on every cell: in the benchmark suite's seed-1 stream, epoch cell
+``CR-0+FB-1+AMG-2`` (``adp``) gives CR-0 a makespan of 32592.15 ns here
+and 32591.65 ns on the array fabric (DESIGN.md §14).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 
 from repro.config import NetworkParams
 from repro.engine.simulator import Simulator
 from repro.flow.routes import FlowParams, flow_route_model
-from repro.flow.solver import DEFAULT_SOLVER, get_solver
+from repro.flow.solver import solve_vector
 from repro.network.packet import Message
 from repro.topology.dragonfly import Dragonfly
 
-__all__ = [
-    "FABRIC_NAMES",
-    "DEFAULT_FABRIC",
-    "FlowFabric",
-    "make_flow_fabric",
-]
-
-#: Valid values of the fabric knob (``REPRO_FLOW_FABRIC`` / the
-#: ``make_flow_fabric(fabric=...)`` argument).
-FABRIC_NAMES = ("object", "array")
-
-#: Production default. The object fabric remains available as the
-#: frozen differential reference (pair it with
-#: ``REPRO_FLOW_SOLVER=scalar`` for the fully scalar historical path).
-DEFAULT_FABRIC = "array"
+__all__ = ["FlowFabric"]
 
 #: A flow is complete once its residual drops below half a byte — far
 #: above float residue at any realistic rate, far below one packet.
 _DONE_BYTES = 0.5
-
-
-def make_flow_fabric(
-    sim: Simulator,
-    topo: Dragonfly,
-    net: NetworkParams,
-    routing: str,
-    params: FlowParams | None = None,
-    solver: str | None = None,
-    fabric: str | None = None,
-):
-    """Build the selected flow-fabric implementation.
-
-    ``fabric`` falls back to the ``REPRO_FLOW_FABRIC`` environment
-    knob, then :data:`DEFAULT_FABRIC`. It is NOT part of the exec
-    cache identity (:data:`~repro.exec.plan.CODE_SALT` was bumped when
-    the default flipped to ``array``), yet it is not a pure performance
-    choice: the implementations agree to relative error below ``1e-9``
-    on the differential harness's grids, but not on every cell. In the
-    benchmark suite's seed-1 stream, epoch cell ``CR-0+FB-1+AMG-2``
-    (``adp``) gives CR-0 a makespan of 32592.15 ns on the object fabric
-    and 32591.65 ns on the array fabric (DESIGN.md §14).
-    """
-    if fabric is None:
-        fabric = os.environ.get("REPRO_FLOW_FABRIC") or DEFAULT_FABRIC
-    if fabric == "object":
-        return FlowFabric(sim, topo, net, routing, params, solver)
-    if fabric == "array":
-        from repro.flow.fabric_array import ArrayFlowFabric
-
-        return ArrayFlowFabric(sim, topo, net, routing, params, solver)
-    raise ValueError(
-        f"unknown flow fabric {fabric!r}; expected one of {FABRIC_NAMES}"
-    )
 
 
 class _Unit:
@@ -190,21 +150,12 @@ class FlowFabric:
         net: NetworkParams,
         routing: str,
         params: FlowParams | None = None,
-        solver: str | None = None,
     ) -> None:
         self.sim = sim
         self.topo = topo
         self.net = net
         self.params = params if params is not None else FlowParams()
         self.routes = flow_route_model(topo, net, routing, self.params)
-        # Max-min solver selection: explicit argument, then the
-        # REPRO_FLOW_SOLVER environment knob, then the default. A pure
-        # performance knob (scalar and vector agree to rel err far
-        # below 1e-9), so it is NOT part of the exec cache identity.
-        if solver is None:
-            solver = os.environ.get("REPRO_FLOW_SOLVER") or DEFAULT_SOLVER
-        self.solver = solver
-        self._solve_fn = get_solver(solver)
 
         n_links = topo.num_links
         bw_arr, lat_arr, _buf = topo.link_profiles(net)
@@ -324,7 +275,7 @@ class FlowFabric:
     ) -> list[_Unit]:
         """One unit per candidate the UGAL-L spill emulation takes.
 
-        :meth:`~repro.flow.routes.FlowRouteModel.spill` replays the
+        :meth:`~repro.flow.routes.FlowRouteModel.spill_fast` replays the
         packet policy's per-packet decision loop against the fabric's
         pending-byte ledger (plus the message's own emulated first-hop
         backlog); every candidate that captures at least one
@@ -333,7 +284,7 @@ class FlowFabric:
         — the fluid limit of packets spilling onto every port that has
         capacity.
         """
-        entries = self.routes.spill(src_node, dst_node, size, self._load)
+        entries = self.routes.spill_fast(src_node, dst_node, size, self._load)
         return [
             _Unit(e.links, e.rr_hops, e.latency_ns, e.nonmin_fraction)
             for e in entries
@@ -500,7 +451,6 @@ class FlowFabric:
 
     def _solve(self) -> None:
         """Weighted max-min rates for the active units (progressive
-        filling), delegated to the selected implementation in
-        :mod:`repro.flow.solver`.
+        filling), delegated to :func:`~repro.flow.solver.solve_vector`.
         """
-        self._saturated = self._solve_fn(self._active, self.bw)
+        self._saturated = solve_vector(self._active, self.bw)

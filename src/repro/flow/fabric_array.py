@@ -36,7 +36,7 @@ flushes reassociate ``w*(m1+m2)`` vs ``w*m1 + w*m2``; incremental
 weight aggregates carry subtraction residue a from-scratch rebuild
 would not; the disjoint-delta solve above accumulates its own base
 rate). On the differential harness's grids
-(``tests/integration/test_flow_batch_equivalence.py``) results agree
+(``tests/integration/test_flow_equivalence.py``) results agree
 to relative error below ``1e-9``, but not on every cell: in the
 benchmark suite's seed-1 stream, epoch cell ``CR-0+FB-1+AMG-2``
 (``adp``) gives CR-0 a makespan of 32592.15 ns on the object fabric
@@ -45,15 +45,11 @@ into a 248 ns difference in one message's finish time, so the ledger
 is not the only state that feeds a discrete decision: event order and
 the 0.5-byte completion threshold do too. DESIGN.md §14 records the
 measurement and what is known of its cause.
-Within one fabric choice, results are bit-identical across schedulers
-and worker counts: all bookkeeping is driven by the simulator's total
-``(time, seq)`` order.
+Results are bit-identical across runs and worker counts: all
+bookkeeping is driven by the simulator's total ``(time, seq)`` order.
 
-The fabric knob (``REPRO_FLOW_FABRIC`` / ``fabric=`` on
-:func:`~repro.flow.fabric.make_flow_fabric`) is excluded from the exec
-cache identity like the solver knob;
-:data:`~repro.exec.plan.CODE_SALT` was bumped when the default flipped
-to ``array``.
+``run_single`` flow cells run on this fabric;
+:data:`~repro.exec.plan.CODE_SALT` was bumped when they moved to it.
 """
 
 from __future__ import annotations
@@ -80,9 +76,8 @@ class ArrayFlowFabric:
     """Flow-level network over slot-indexed array state.
 
     Duck-types :class:`~repro.flow.fabric.FlowFabric` (same
-    constructor shape, same public counters/methods), so
-    ``run_single(backend="flow")`` can swap it in behind
-    :func:`~repro.flow.fabric.make_flow_fabric`.
+    constructor shape, same public counters/methods); it is the fabric
+    ``run_single(backend="flow")`` builds.
     """
 
     def __init__(
@@ -92,7 +87,6 @@ class ArrayFlowFabric:
         net: NetworkParams,
         routing: str,
         params: FlowParams | None = None,
-        solver: str | None = None,
         vec_min_units: int = VECTOR_MIN_UNITS,
     ) -> None:
         self.sim = sim
@@ -100,10 +94,6 @@ class ArrayFlowFabric:
         self.net = net
         self.params = params if params is not None else FlowParams()
         self.routes = flow_route_model(topo, net, routing, self.params)
-        #: Kept for surface parity with the object fabric; the array
-        #: fabric's solve is built in (incremental small path + CSR
-        #: large path), so the solver knob has no effect here.
-        self.solver = solver
         #: Adaptive dispatch floor for the CSR settle/solve paths; the
         #: same break-even as the standalone vector solver. Tests pin
         #: it to 0 to force the vector paths at every size.

@@ -174,11 +174,9 @@ def fidelity_report(
     routings: tuple[str, ...] = ROUTING_NAMES,
     seed: int = 0,
     compute_scale: float = 0.0,
-    scheduler: str = "heap",
     max_workers: int = 1,
     cache_dir: Any = None,
     progress: Any = None,
-    flow_batch: int = 0,
 ) -> FidelityReport:
     """Run matched packet and flow grids and compare them.
 
@@ -199,12 +197,8 @@ def fidelity_report(
             routings=routings,
             seed=seed,
             compute_scale=compute_scale,
-            scheduler=scheduler,
             backend=backend,
-        ).run(
-            max_workers=max_workers, cache_dir=cache_dir,
-            progress=progress, flow_batch=flow_batch,
-        )
+        ).run(max_workers=max_workers, cache_dir=cache_dir, progress=progress)
     packet, flow = results["packet"], results["flow"]
 
     cells: list[dict[str, Any]] = []

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -167,8 +166,7 @@ class FlowRouteModel:
         #: numpy arrays, for the array fabric's scatter ops. Keyed by
         #: identity (entries are interned in the memos above, which
         #: keeps the ids alive) because hashing a links tuple per lookup
-        #: would cost more than the arrays save. Never persisted to the
-        #: model cache — ids are process-local.
+        #: would cost more than the arrays save.
         self._entry_arrays: dict[int, tuple[FlowEntry, Any, Any, tuple]] = {}
 
     def entry_arrays(self, entry: FlowEntry) -> tuple[Any, Any, tuple]:
@@ -244,12 +242,12 @@ class FlowRouteModel:
         self._scoring[key] = built
         return built
 
-    def spill(
+    def spill_fast(
         self,
         src_node: int,
         dst_node: int,
         size: int,
-        load: list[float] | None,
+        load: Any,
     ) -> tuple[FlowEntry, ...]:
         """Candidates the packet policy's UGAL-L rule would spread onto.
 
@@ -269,42 +267,15 @@ class FlowRouteModel:
         first hop and draining every backlog at link rate for the
         quantum's NIC serialisation time. ``load`` seeds the backlog
         with the fabric's pending-byte ledger (cross-flow congestion);
-        load-free injections — the common case — hit a memo.
-        """
-        psize = self.packet_size
-        cost_size = size if size < psize else psize
-        quanta = -(-size // psize)
-        if quanta > SPILL_QUANTA:
-            quanta = SPILL_QUANTA
-        static = self.scoring(src_node, dst_node, cost_size)
-        if load is not None:
-            for _unl, first, _hops, _entry in static:
-                if first >= 0 and load[first] != 0.0:
-                    return self._emulate(src_node, static, quanta, load)
-        key = (src_node, dst_node, cost_size, quanta)
-        hit = self._idle_spill.get(key)
-        if hit is None:
-            hit = self._emulate(src_node, static, quanta, None)
-            self._idle_spill[key] = hit
-        return hit
+        it may be any indexable byte ledger (both fabrics pass a plain
+        list). Load-free injections — the common case — hit a memo.
 
-    def spill_fast(
-        self,
-        src_node: int,
-        dst_node: int,
-        size: int,
-        load: Any,
-    ) -> tuple[FlowEntry, ...]:
-        """:meth:`spill` over restructured candidate arrays.
-
-        Same decisions, same returned entries, bit-for-bit: the quantum
-        loop runs over parallel tuples with the per-candidate costs and
-        drain amounts hoisted (see :meth:`_emulate_fast`), instead of
-        re-deriving them from the scoring rows and a backlog dict every
-        quantum. ``load`` may be any indexable byte ledger (the array
-        fabric passes a plain list). Shares the idle-spill memo with
-        the reference path — both produce identical tuples, which the
-        differential suite asserts.
+        The quantum loop runs over parallel tuples with the
+        per-candidate costs and drain amounts hoisted (see
+        :meth:`_emulate_fast`); ``tests/flow_oracle.py`` keeps the
+        straightforward loop over the scoring rows and a backlog dict,
+        and the differential suite asserts both return the identical
+        tuple.
         """
         psize = self.packet_size
         cost_size = size if size < psize else psize
@@ -326,11 +297,11 @@ class FlowRouteModel:
     def _fast_rows(
         self, src_node: int, dst_node: int, cost_size: int
     ) -> tuple:
-        """Parallel-array form of :meth:`scoring` for the fast path.
+        """Parallel-array form of :meth:`scoring` for :meth:`spill_fast`.
 
         Candidates keep their scan order; first links are compacted to
         dense backlog slots in first-candidate order — exactly the
-        insertion order the reference emulation's backlog dict ends up
+        insertion order the oracle emulation's backlog dict ends up
         with after its first quantum scan, so drain order matches.
         """
         key = (src_node, dst_node, cost_size)
@@ -375,15 +346,17 @@ class FlowRouteModel:
         quanta: int,
         load: Any,
     ) -> tuple[FlowEntry, ...]:
-        """The :meth:`_emulate` quantum loop over candidate arrays.
+        """The spill quantum loop over candidate arrays.
 
         Every floating-point operation and comparison is performed in
-        the reference order on the reference values, so the spill set is
-        *bit-identical* to :meth:`_emulate` — the differential suite
-        asserts exact equality on randomized ledgers. The reference
-        initialises backlogs lazily during the first quantum's scan
-        (before any deposit or drain), so hoisting the initialisation
-        reads exactly one value per compact slot, in slot order.
+        the oracle's order on the oracle's values, so the spill set is
+        *bit-identical* to the oracle emulation in
+        ``tests/flow_oracle.py`` — the differential suite asserts exact
+        equality on randomized ledgers. The oracle initialises backlogs
+        lazily during the first quantum's scan (before any deposit or
+        drain), so hoisting the initialisation reads exactly one value
+        per compact slot, in slot order. An empty candidate set spills
+        onto nothing.
         """
         unls, firsts, hopss, nonmins, entries, fidx, uniq_lids, uniq_bw, _ = (
             rows
@@ -432,62 +405,6 @@ class FlowRouteModel:
                 q = b_val[j] - drain_amt[j]
                 b_val[j] = q if q > 0.0 else 0.0
         return tuple(entries[i] for i in cands if took[i])
-
-    def _emulate(
-        self,
-        src_node: int,
-        static: tuple[tuple[float, int, int, FlowEntry], ...],
-        quanta: int,
-        load: list[float] | None,
-    ) -> tuple[FlowEntry, ...]:
-        if not static:
-            # An empty candidate set has nothing to spill onto; without
-            # this guard the argmin sentinel (``best = -1``) would index
-            # ``static[-1]`` — an IndexError on the empty tuple.
-            return ()
-        bw = self.bw
-        wfac = self.params.nonminimal_weight
-        bias = self.params.minimal_bias_ns
-        psize = self.packet_size
-        drain_dt = psize / bw[self.topo.terminal_in(src_node)]
-        backlog: dict[int, float] = {}
-        took = [False] * len(static)
-        n_taken = 0
-        for _ in range(quanta):
-            best = -1
-            best_cost = math.inf
-            for i, (unl, first, hops, entry) in enumerate(static):
-                if first < 0:
-                    cost = 0.0
-                else:
-                    q = backlog.get(first)
-                    if q is None:
-                        q = load[first] if load is not None else 0.0
-                        backlog[first] = q
-                    cost = unl + q / bw[first] * hops
-                    if entry.nonmin_fraction:
-                        cost = cost * wfac + bias
-                if cost < best_cost:
-                    best_cost = cost
-                    best = i
-            if not took[best]:
-                took[best] = True
-                n_taken += 1
-                if n_taken == len(static):
-                    # Every candidate already participates: further
-                    # quanta only churn the backlog and cannot change
-                    # the returned spill set — stop exactly here.
-                    break
-            first = static[best][1]
-            if first < 0:
-                break  # same-router: nothing ever beats the empty path
-            backlog[first] += psize
-            for lid in backlog:
-                q = backlog[lid] - drain_dt * bw[lid]
-                backlog[lid] = q if q > 0.0 else 0.0
-        return tuple(
-            row[3] for taken, row in zip(took, static) if taken
-        )
 
     # ------------------------------------------------------------------
     def _build(self, src_node: int, dst_node: int) -> FlowEntry:
@@ -679,11 +596,6 @@ def flow_route_model(
     share one instance — the entry/candidate/spill memos then warm up
     once per (topology, network, routing, params) instead of once per
     run. Memo warmth never changes results, only speed.
-
-    When the ``REPRO_FLOW_MODEL_CACHE`` knob points at a directory, a
-    newly constructed model is prewarmed from disk (see
-    :mod:`repro.flow.modelcache`) — cross-process reuse of the same
-    derived state the in-process lru shares within one process.
     """
     key = params if params is not None else FlowParams()
     return _shared_model(topo, net, routing, key)
@@ -696,9 +608,4 @@ def _shared_model(
     routing: str,
     params: FlowParams,
 ) -> FlowRouteModel:
-    model = FlowRouteModel(topo, net, routing, params)
-    if os.environ.get("REPRO_FLOW_MODEL_CACHE"):
-        from repro.flow import modelcache
-
-        modelcache.load_into(model)
-    return model
+    return FlowRouteModel(topo, net, routing, params)

@@ -1,7 +1,8 @@
 """Weighted max-min progressive-filling solvers for the flow fabric.
 
-Two interchangeable implementations of the rate-allocation step behind
-:meth:`~repro.flow.fabric.FlowFabric._solve`:
+The rate-allocation step behind :meth:`~repro.flow.fabric.FlowFabric._solve`
+is :func:`solve_vector`, which hands instances below
+:data:`VECTOR_MIN_UNITS` to :func:`solve_scalar`:
 
 * :func:`solve_scalar` — a pure-Python fill over one list record per
   crossed link, bit-identical to the historical in-fabric loop, which
@@ -26,10 +27,9 @@ saturate, remove their weight, and repeat on the residual network. The
 implementations differ only in floating-point *accumulation order*
 (the vector path subtracts a round's frozen weight as one batched sum,
 the scalar path unit by unit), so results agree to relative error far
-below ``1e-9`` but are not guaranteed bit-identical — which is why the
-solver choice is a pure performance knob excluded from the exec cache
-identity, while :data:`~repro.exec.plan.CODE_SALT` was bumped when the
-default flipped to ``vector``.
+below ``1e-9`` but are not guaranteed bit-identical;
+:data:`~repro.exec.plan.CODE_SALT` was bumped when the fabric moved to
+``solve_vector``.
 
 Contract shared by both solvers: given the active flows and the global
 per-link capacity table, set ``unit.rate`` on every unit and ``f.rate``
@@ -47,21 +47,10 @@ from typing import Any, Sequence
 import numpy as np
 
 __all__ = [
-    "SOLVER_NAMES",
-    "DEFAULT_SOLVER",
     "SAT_RTOL",
-    "get_solver",
     "solve_scalar",
     "solve_vector",
 ]
-
-#: Valid values of the solver knob (``REPRO_FLOW_SOLVER`` / the
-#: ``FlowFabric(solver=...)`` argument).
-SOLVER_NAMES = ("scalar", "vector")
-
-#: Production default; it delegates solves below
-#: :data:`VECTOR_MIN_UNITS` to the scalar fill.
-DEFAULT_SOLVER = "vector"
 
 #: Relative tolerance for "this link is saturated" in the solvers and
 #: the fabric's saturation clock.
@@ -337,16 +326,3 @@ def solve_vector(
             saturated.append(glids[li])
     saturated.sort()
     return saturated
-
-
-_SOLVERS = {"scalar": solve_scalar, "vector": solve_vector}
-
-
-def get_solver(name: str) -> Any:
-    """Resolve a solver name to its implementation."""
-    try:
-        return _SOLVERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown flow solver {name!r}; expected one of {SOLVER_NAMES}"
-        ) from None

@@ -24,7 +24,7 @@ unchanged:
 Message sizes carry a mild deterministic :func:`pair_jitter` so
 placements cannot exploit exact symmetry; all randomness is derived
 from ``seed`` and structural keys, making every trace bit-identical
-across runs, schedulers, and worker counts. Iteration loads land in
+across runs and worker counts. Iteration loads land in
 ``meta["phase_profile"]`` with ``iter{k}/...`` labels so the advisor's
 ``characterize()`` sees the training periodicity.
 """

@@ -150,11 +150,9 @@ def training_tradeoff(
     routings: tuple[str, ...] = ROUTING_NAMES,
     seed: int = 0,
     backend: str = "flow",
-    scheduler: str = "heap",
     max_workers: int = 1,
     cache_dir: Any = None,
     progress: Any = None,
-    flow_batch: int = 0,
 ) -> TrainingReport:
     """Run the placement x routing grid on training jobs.
 
@@ -175,13 +173,11 @@ def training_tradeoff(
         placements=placements,
         routings=routings,
         seed=seed,
-        scheduler=scheduler,
         backend=backend,
     ).run(
         max_workers=max_workers,
         cache_dir=cache_dir,
         progress=progress,
-        flow_batch=flow_batch,
     )
 
     cells: list[dict[str, Any]] = []

@@ -126,8 +126,3 @@ def sleepy_runner(config, spec, trace) -> RunResult:
     return make_stub_result(spec)
 
 
-def picky_runner(config, spec, trace) -> RunResult:
-    """Fails only cells tagged ``poison=1`` — for chunk-isolation tests."""
-    if _tag(spec, "poison"):
-        raise RuntimeError("poisoned cell")
-    return make_stub_result(spec)

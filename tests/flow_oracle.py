@@ -1,4 +1,4 @@
-"""The historical max-min progressive fill, kept as the solvers' oracle.
+"""Reference implementations the flow backend is proven against.
 
 :func:`solve_scalar_oracle` is the dict-based loop that
 ``repro.flow.solver.solve_scalar`` used to be, verbatim. Production
@@ -7,8 +7,17 @@ same float operations in the same order, so the two must agree with
 ``==`` on every unit rate, flow rate and saturated link; the numpy
 ``solve_vector`` path is measured against it to relative error.
 
-The synthetic flow/unit stand-ins and instance builders below feed both
-harnesses.
+:func:`spill_oracle` is the straightforward UGAL-L spill emulation
+(scoring rows plus a backlog dict) that
+``FlowRouteModel.spill_fast`` restructures; the two must return the
+identical tuple of entries.
+
+:func:`use_object_fabric` and :func:`use_scalar_solver` reach the
+alternatives production no longer selects: ``run_single`` on the object
+fabric, and the object fabric on the pure scalar fill.
+
+The synthetic flow/unit stand-ins and instance builders below feed the
+solver harnesses.
 """
 
 from __future__ import annotations
@@ -16,16 +25,119 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
-from repro.flow.solver import _BOTTLENECK_RTOL, _W_EPS, SAT_RTOL
+from repro.flow.fabric import FlowFabric
+from repro.flow.routes import SPILL_QUANTA, FlowEntry, FlowRouteModel
+from repro.flow.solver import _BOTTLENECK_RTOL, _W_EPS, SAT_RTOL, solve_scalar
 
 __all__ = [
     "F",
     "U",
     "build",
+    "emulate_oracle",
     "random_instance",
     "rates_of",
     "solve_scalar_oracle",
+    "spill_oracle",
+    "use_object_fabric",
+    "use_scalar_solver",
 ]
+
+
+def use_object_fabric(monkeypatch) -> None:
+    """Make ``run_single`` build the object :class:`FlowFabric`.
+
+    ``run_single`` imports ``ArrayFlowFabric`` from its module at call
+    time, so patching the module attribute swaps the fabric for every
+    flow cell run in this process.
+    """
+    monkeypatch.setattr("repro.flow.fabric_array.ArrayFlowFabric", FlowFabric)
+
+
+def use_scalar_solver(monkeypatch) -> None:
+    """Make the object fabric solve every instance with ``solve_scalar``."""
+    monkeypatch.setattr("repro.flow.fabric.solve_vector", solve_scalar)
+
+
+def spill_oracle(
+    model: FlowRouteModel,
+    src_node: int,
+    dst_node: int,
+    size: int,
+    load: Sequence[float] | None,
+) -> tuple[FlowEntry, ...]:
+    """The reference form of ``FlowRouteModel.spill_fast``, unmemoised."""
+    psize = model.packet_size
+    cost_size = size if size < psize else psize
+    quanta = -(-size // psize)
+    if quanta > SPILL_QUANTA:
+        quanta = SPILL_QUANTA
+    static = model.scoring(src_node, dst_node, cost_size)
+    if load is not None and not any(
+        first >= 0 and load[first] != 0.0 for _unl, first, _hops, _e in static
+    ):
+        load = None
+    return emulate_oracle(model, src_node, static, quanta, load)
+
+
+def emulate_oracle(
+    model: FlowRouteModel,
+    src_node: int,
+    static: tuple[tuple[float, int, int, FlowEntry], ...],
+    quanta: int,
+    load: Sequence[float] | None,
+) -> tuple[FlowEntry, ...]:
+    """The spill quantum loop over the scoring rows and a backlog dict.
+
+    Packet-sized quanta are routed greedily with the packet policy's
+    UGAL-L cost rule, each charged to its winner's first hop, and every
+    backlog drains at link rate for the quantum's NIC serialisation time.
+    """
+    if not static:
+        # An empty candidate set has nothing to spill onto; without
+        # this guard the argmin sentinel (``best = -1``) would index
+        # ``static[-1]`` — an IndexError on the empty tuple.
+        return ()
+    bw = model.bw
+    wfac = model.params.nonminimal_weight
+    bias = model.params.minimal_bias_ns
+    psize = model.packet_size
+    drain_dt = psize / bw[model.topo.terminal_in(src_node)]
+    backlog: dict[int, float] = {}
+    took = [False] * len(static)
+    n_taken = 0
+    for _ in range(quanta):
+        best = -1
+        best_cost = math.inf
+        for i, (unl, first, hops, entry) in enumerate(static):
+            if first < 0:
+                cost = 0.0
+            else:
+                q = backlog.get(first)
+                if q is None:
+                    q = load[first] if load is not None else 0.0
+                    backlog[first] = q
+                cost = unl + q / bw[first] * hops
+                if entry.nonmin_fraction:
+                    cost = cost * wfac + bias
+            if cost < best_cost:
+                best_cost = cost
+                best = i
+        if not took[best]:
+            took[best] = True
+            n_taken += 1
+            if n_taken == len(static):
+                # Every candidate already participates: further quanta
+                # only churn the backlog and cannot change the returned
+                # spill set — stop exactly here.
+                break
+        first = static[best][1]
+        if first < 0:
+            break  # same-router: nothing ever beats the empty path
+        backlog[first] += psize
+        for lid in backlog:
+            q = backlog[lid] - drain_dt * bw[lid]
+            backlog[lid] = q if q > 0.0 else 0.0
+    return tuple(row[3] for taken, row in zip(took, static) if taken)
 
 
 class U:

@@ -2,8 +2,8 @@
 
 Covers the load-bearing promises of DESIGN.md S16:
 
-* the fluid model is deterministic — bit-identical across event-queue
-  schedulers and executor worker counts;
+* the fluid model is deterministic — bit-identical across repeat runs
+  and executor worker counts;
 * predicted communication time is monotone in message size;
 * on the tiny 5x2 grid it reproduces the packet backend's placement
   ranking (top-1 per routing, positive rank correlation) while being
@@ -17,7 +17,6 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.engine.queues import SCHEDULER_NAMES
 from repro.exec.plan import plan_grid
 from repro.flow.fidelity import fidelity_report
 
@@ -26,7 +25,7 @@ def _trace(scale=0.05):
     return repro.fill_boundary_trace(num_ranks=8, seed=3).scaled(scale)
 
 
-def _grid_fingerprint(scheduler="heap", max_workers=1):
+def _grid_fingerprint(max_workers=1):
     """Every per-cell flow-backend summary of the tiny 5x2 FB grid.
 
     ``wall_s`` is deliberately absent: it is measurement, not physics.
@@ -35,7 +34,6 @@ def _grid_fingerprint(scheduler="heap", max_workers=1):
         repro.tiny(),
         {"FB": _trace()},
         seed=7,
-        scheduler=scheduler,
         backend="flow",
     ).run(max_workers=max_workers)
     out = {}
@@ -51,14 +49,6 @@ def _grid_fingerprint(scheduler="heap", max_workers=1):
 
 
 class TestDeterminism:
-    def test_bit_identical_across_schedulers(self):
-        baseline = _grid_fingerprint("heap")
-        assert len(baseline) == 10
-        for name in SCHEDULER_NAMES:
-            if name == "heap":
-                continue
-            assert _grid_fingerprint(name) == baseline
-
     def test_bit_identical_across_worker_counts(self):
         serial = _grid_fingerprint(max_workers=1)
         parallel = _grid_fingerprint(max_workers=2)

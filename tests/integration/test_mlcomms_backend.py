@@ -3,8 +3,8 @@
 Three load-bearing guarantees:
 
 * every synthetic generator's tiny instance is *bit-identical* across
-  event schedulers and across serial/parallel execution (the family
-  inherits the executor's determinism contract);
+  serial/parallel execution (the family inherits the executor's
+  determinism contract);
 * the flow backend agrees with the packet engine on the *top-1*
   placement per routing on the full tiny 5×2 grid for the DP-ring and
   MoE all-to-all jobs (the paper's conclusion survives the fluid
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.engine.queues import SCHEDULER_NAMES
 from repro.flow import fidelity_report
 from repro.mlcomms import load_comms_trace, training_tradeoff
 from repro.mlcomms.study import default_training_traces
@@ -46,27 +45,6 @@ def assert_identical_runs(a, b):
         assert np.array_equal(
             ra.job.finish_time_ns, rb.job.finish_time_ns
         ), key
-
-
-class TestSchedulerDeterminism:
-    @pytest.mark.parametrize("app", ("DP", "PP", "TP", "MOE"))
-    def test_bit_identical_across_schedulers(self, config, family_traces, app):
-        trace = family_traces[app]
-        baseline = None
-        for name in SCHEDULER_NAMES:
-            res = repro.run_single(
-                config, trace, "rotr", "adp", seed=7, scheduler=name
-            )
-            fp = (
-                res.metrics.summary(),
-                res.sim_time_ns,
-                res.job.finish_time_ns.tolist(),
-                res.job.blocked_time_ns.tolist(),
-            )
-            if baseline is None:
-                baseline = fp
-            else:
-                assert fp == baseline, name
 
 
 class TestParallelDeterminism:

@@ -25,6 +25,7 @@ from repro.cluster import (
 )
 from repro.cluster.workload import default_mix
 from repro.exec.plan import RunSpec, config_digest, trace_fingerprint
+from repro.flow.routes import FlowParams
 from repro.placement.machine import Machine
 
 
@@ -288,6 +289,55 @@ class TestEpochCells:
         bigger = merge_epoch_trace([("x", a), ("y", a)], merged.name)
         with pytest.raises(ValueError, match="spans"):
             simulate_epoch(tiny_config, spec, bigger)
+
+    def test_simulate_epoch_honours_flow_params(self, tiny_config, monkeypatch):
+        """An epoch flow cell runs the model its ``flow_params`` name:
+        the fabric gets the spec's params, and turning epoch coalescing
+        off moves the job's finish time."""
+        fb = repro.fill_boundary_trace(num_ranks=8, seed=3).scaled(0.2)
+        spec, merged = _epoch_spec_for(tiny_config, [(fb, list(range(8)))])
+        finish = {}
+        for params in (None, FlowParams(epoch_ns=0.0)):
+            cell = dataclasses.replace(spec, flow_params=params)
+            out = simulate_epoch(tiny_config, cell, merged)
+            finish[params] = out.extra["epoch_jobs"][fb.name]["finish_ns"]
+        assert finish[None] != finish[FlowParams(epoch_ns=0.0)]
+
+        from repro.flow import fabric
+
+        seen = []
+
+        class Spy(fabric.FlowFabric):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.params)
+
+        monkeypatch.setattr(fabric, "FlowFabric", Spy)
+        tuned = FlowParams(max_minimal=1)
+        simulate_epoch(
+            tiny_config, dataclasses.replace(spec, flow_params=tuned), merged
+        )
+        assert seen == [tuned]
+
+    def test_non_default_params_retire_old_epoch_keys(self, tiny_config):
+        """Epoch cells cached before ``simulate_epoch`` honoured
+        ``flow_params`` hold default physics under keys that name other
+        params, so those keys must miss now; default-params epoch keys
+        and single-job flow keys (whose runner always honoured the
+        params) keep the keys captured from that code."""
+        fb = repro.fill_boundary_trace(num_ranks=8, seed=3).scaled(0.2)
+        spec, _ = _epoch_spec_for(tiny_config, [(fb, list(range(8)))])
+        tuned = dataclasses.replace(spec, flow_params=FlowParams(epoch_ns=0.0))
+        single = dataclasses.replace(tuned, epoch=None)
+        assert spec.key == (
+            "a56b8835d8ad821bd722534b749d7f58a6c8027143e47ec73b7986324075350f"
+        )
+        assert tuned.key != (
+            "c4b5a9ec6f345d0a28b1311740c95564a5a05be8534c0c322f364b5da992ebfa"
+        )
+        assert single.key == (
+            "861b06ee1b89f170e7dda00430c192829cd91413e52de6c19a6160173255c72d"
+        )
 
     def test_flow_cell_rejects_fault_plan(self, tiny_config):
         from repro.faults import FaultPlan, LinkFault

@@ -1,6 +1,5 @@
 """Executor: scheduling, retry, timeout, caching, IPC slimming, pickling."""
 
-import dataclasses
 import os
 import pickle
 
@@ -15,7 +14,6 @@ from repro.exec.pool import ExecutionError, execute_plan
 from tests.exec_helpers import (
     crashing_runner,
     flaky_runner,
-    picky_runner,
     sleepy_runner,
     stub_plan,
     stub_runner,
@@ -185,109 +183,3 @@ class TestResultIPC:
             repro.tiny(), trace, "cont", "min", seed=1, record_sends=True
         )
         assert outcome.result.job.send_events == serial.job.send_events
-
-
-class TestBatchedExecution:
-    """The ``flow_batch`` path: chunked tasks, per-cell retry accounting."""
-
-    @staticmethod
-    def _flow_plan(n_seeds=1, tags=()):
-        return stub_plan(n_seeds=n_seeds, tags=tags, backend="flow")
-
-    def test_batched_outcomes_in_plan_order(self):
-        plan = self._flow_plan(n_seeds=3)
-        report = execute_plan(plan, runner=stub_runner, flow_batch=2)
-        assert [o.spec.key for o in report.outcomes] == plan.keys()
-        assert report.done == len(plan) and report.failed == 0
-
-    def test_packet_cells_never_batched(self):
-        """Only ``backend="flow"`` cells take the batch path; a mixed
-        plan still completes with everything in plan order."""
-        flow = self._flow_plan(n_seeds=2)
-        packet = stub_plan(n_seeds=2)
-        mixed = dataclasses.replace(
-            flow, specs=flow.specs + packet.specs
-        )
-        report = execute_plan(mixed, runner=stub_runner, flow_batch=2)
-        assert report.done == len(mixed)
-        assert [o.spec.key for o in report.outcomes] == mixed.keys()
-
-    def test_single_flow_cell_skips_batching(self):
-        """A lone flow cell is not worth a batch — normal path, same
-        outcome shape."""
-        plan = self._flow_plan()
-        solo = dataclasses.replace(plan, specs=plan.specs[:1])
-        report = execute_plan(solo, runner=stub_runner, flow_batch=8)
-        assert report.done == 1
-
-    def test_batched_retry_then_success(self, tmp_path):
-        plan = self._flow_plan(tags=(f"scratch={tmp_path}", "fail_times=1"))
-        report = execute_plan(
-            plan, runner=flaky_runner, retries=1, flow_batch=2
-        )
-        assert report.done == len(plan)
-        assert all(o.attempts == 2 for o in report.outcomes)
-
-    def test_batched_retries_exhausted(self, tmp_path):
-        plan = self._flow_plan(tags=(f"scratch={tmp_path}", "fail_times=5"))
-        report = execute_plan(
-            plan, runner=flaky_runner, retries=1, flow_batch=2
-        )
-        assert report.failed == len(plan)
-        assert all("injected failure" in o.error for o in report.failures())
-
-    def test_failing_cell_does_not_poison_its_chunk(self):
-        """Batch-mates of a failing cell land normally and are never
-        re-run; only the bad cell is retried (re-chunked) and failed."""
-        plan = self._flow_plan(n_seeds=2)
-        specs = list(plan.specs)
-        specs[1] = dataclasses.replace(specs[1], tags=("poison=1",))
-        plan = dataclasses.replace(plan, specs=tuple(specs))
-        report = execute_plan(
-            plan, runner=picky_runner, retries=1, flow_batch=4
-        )
-        assert report.done == len(plan) - 1
-        [bad] = report.failures()
-        assert bad.spec.key == specs[1].key
-        assert bad.attempts == 2
-        assert "poisoned cell" in bad.error
-        good = [o for o in report.outcomes if o.status == "done"]
-        assert all(o.attempts == 1 for o in good)
-
-    def test_batched_timeout_fails_cell(self, tmp_path):
-        plan = self._flow_plan(tags=("sleep=5",))
-        report = execute_plan(
-            plan, runner=sleepy_runner, retries=0,
-            timeout_s=0.2, flow_batch=2,
-        )
-        assert report.failed == len(plan)
-
-    def test_batched_parallel_pool(self):
-        plan = self._flow_plan(n_seeds=3)
-        report = execute_plan(
-            plan, max_workers=WORKERS, runner=stub_runner, flow_batch=2
-        )
-        assert report.done == len(plan)
-        assert [o.spec.key for o in report.outcomes] == plan.keys()
-
-    def test_batched_worker_crash_recovers(self, tmp_path):
-        """A crash poisons every in-flight chunk; survivors resubmit on
-        a fresh pool with their attempts counted."""
-        plan = self._flow_plan(tags=(f"scratch={tmp_path}",))
-        report = execute_plan(
-            plan, max_workers=WORKERS, runner=crashing_runner,
-            retries=2, flow_batch=2,
-        )
-        assert report.done == len(plan)
-        assert all(o.attempts >= 2 for o in report.outcomes)
-
-    def test_batched_warm_cache_skips_simulation(self, tmp_path):
-        plan = self._flow_plan(n_seeds=2)
-        first = execute_plan(
-            plan, cache=tmp_path, runner=stub_runner, flow_batch=2
-        )
-        assert first.done == len(plan)
-        second = execute_plan(
-            plan, cache=tmp_path, runner=stub_runner, flow_batch=2
-        )
-        assert second.cached == len(plan) and second.done == 0

@@ -1,41 +1,28 @@
 """Whitebox tests of the array flow fabric and its support layers:
-the fabric factory/env knob, the fast spill path's bit-exactness, the
-incremental CSR + link-aggregate invariants, the vectorized settle and
-solve dispatch, and the disk-backed route-model prewarm cache.
+the fast spill path's bit-exactness against the oracle emulation, the
+incremental CSR + link-aggregate invariants, and the vectorized settle
+and solve dispatch.
 
 The cross-driver physics equivalence (object vs array fabric over the
-full grid, schedulers, worker pools, warm caches) lives in
-``tests/integration/test_flow_batch_equivalence.py``; this module pins
-the internals those promises rest on.
+full grid, repeat runs, worker pools) lives in
+``tests/integration/test_flow_equivalence.py``; this module pins the
+internals those promises rest on.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import repro
 from repro.engine.simulator import Simulator
-from repro.flow import modelcache
-from repro.flow.batch import BatchedFlowRunner
-from repro.flow.fabric import (
-    DEFAULT_FABRIC,
-    FABRIC_NAMES,
-    FlowFabric,
-    make_flow_fabric,
-)
 from repro.flow.fabric_array import ArrayFlowFabric
-from repro.flow.routes import (
-    FlowParams,
-    FlowRouteModel,
-    _shared_model,
-    flow_route_model,
-)
+from repro.flow.routes import FlowRouteModel
 from repro.network.packet import Message
+from tests.flow_oracle import emulate_oracle, spill_oracle
 
 
 @pytest.fixture(scope="module")
@@ -74,45 +61,12 @@ def _run_workload(fabric, msgs):
     return out
 
 
-class TestFabricFactory:
-    def test_names_and_default(self):
-        assert FABRIC_NAMES == ("object", "array")
-        assert DEFAULT_FABRIC == "array"
-
-    def test_default_is_array(self, cfg, topo, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW_FABRIC", raising=False)
-        fabric = make_flow_fabric(Simulator(), topo, cfg.network, "min")
-        assert isinstance(fabric, ArrayFlowFabric)
-
-    @pytest.mark.parametrize(
-        ("name", "cls"),
-        [("object", FlowFabric), ("array", ArrayFlowFabric)],
-    )
-    def test_env_knob_selects(self, cfg, topo, monkeypatch, name, cls):
-        monkeypatch.setenv("REPRO_FLOW_FABRIC", name)
-        fabric = make_flow_fabric(Simulator(), topo, cfg.network, "min")
-        assert type(fabric) is cls
-
-    def test_explicit_arg_beats_env(self, cfg, topo, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_FABRIC", "array")
-        fabric = make_flow_fabric(
-            Simulator(), topo, cfg.network, "min", fabric="object"
-        )
-        assert type(fabric) is FlowFabric
-
-    def test_unknown_name_raises(self, cfg, topo):
-        with pytest.raises(ValueError, match="tensor"):
-            make_flow_fabric(
-                Simulator(), topo, cfg.network, "min", fabric="tensor"
-            )
-
-
 class TestSpillFastExactness:
     def test_spill_fast_matches_reference_bit_for_bit(self, cfg, topo):
         """The restructured spill emulation returns the *same tuple of
-        entries* as the reference, idle and under random cross-flow
-        load. Two separate models so the shared idle-spill memo cannot
-        mask a divergence."""
+        entries* as the oracle, idle and under random cross-flow load.
+        Two separate models, and an unmemoised oracle, so the idle-spill
+        memo cannot mask a divergence."""
         ref = FlowRouteModel(topo, cfg.network, "adp")
         fast = FlowRouteModel(topo, cfg.network, "adp")
         rng = random.Random(42)
@@ -128,7 +82,7 @@ class TestSpillFastExactness:
                 for _ in range(rng.randrange(1, 12)):
                     load[rng.randrange(n_links)] = rng.uniform(0.0, 8e5)
                 load_np = np.asarray(load)
-            a = ref.spill(src, dst, size, load)
+            a = spill_oracle(ref, src, dst, size, load)
             b = fast.spill_fast(src, dst, size, load_np)
             assert a == b, (src, dst, size)
 
@@ -136,7 +90,9 @@ class TestSpillFastExactness:
         """No scoreable candidates (degenerate inputs) must yield an
         empty spread, not an IndexError in the quantum loop."""
         model = FlowRouteModel(topo, cfg.network, "adp")
-        assert model._emulate(0, (), 4, None) == ()
+        no_rows = ((),) * 8 + (np.zeros(0, dtype=np.intp),)
+        assert model._emulate_fast(0, no_rows, 4, None) == ()
+        assert emulate_oracle(model, 0, (), 4, None) == ()
 
 
 def _check_invariants(fabric):
@@ -274,166 +230,3 @@ class TestVectorizedDispatch:
         _run_workload(fabric, _workload(topo, 12, seed=3))
         assert not fabric._adaptive
         assert not any(fabric._load)
-
-
-def _warm_model(cfg, topo, pairs=4):
-    """A freshly constructed model with a few memos derived."""
-    model = FlowRouteModel(topo, cfg.network, "adp")
-    rng = random.Random(1)
-    for _ in range(pairs):
-        src, dst = rng.sample(range(topo.num_nodes), 2)
-        model.entry(src, dst)
-        model.spill(src, dst, 4096, None)
-    return model
-
-
-class TestModelCache:
-    @pytest.fixture(autouse=True)
-    def _clean(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(modelcache.MODEL_CACHE_ENV, str(tmp_path))
-        modelcache.reset_stats()
-        self.dir = tmp_path
-        yield
-        modelcache.reset_stats()
-
-    def test_digest_is_content_keyed(self, cfg, topo):
-        a = FlowRouteModel(topo, cfg.network, "adp")
-        b = FlowRouteModel(topo, cfg.network, "adp")
-        assert modelcache.model_digest(a) == modelcache.model_digest(b)
-        other_routing = FlowRouteModel(topo, cfg.network, "min")
-        assert modelcache.model_digest(a) != modelcache.model_digest(
-            other_routing
-        )
-        other_params = FlowRouteModel(
-            topo, cfg.network, "adp", FlowParams(epoch_ns=0.0)
-        )
-        assert modelcache.model_digest(a) != modelcache.model_digest(
-            other_params
-        )
-
-    def test_round_trip_restores_memos(self, cfg, topo):
-        warm = _warm_model(cfg, topo)
-        assert modelcache.save_from(warm) is True
-        cold = FlowRouteModel(topo, cfg.network, "adp")
-        assert not cold._cache
-        assert modelcache.load_into(cold) is True
-        assert set(cold._cache) >= set(warm._cache)
-        assert set(cold._idle_spill) >= set(warm._idle_spill)
-        for key, entry in warm._cache.items():
-            assert cold._cache[key] == entry
-        assert modelcache.stats() == {
-            "hits": 1,
-            "misses": 0,
-            "saves": 1,
-            "errors": 0,
-        }
-
-    def test_save_skips_existing_digest(self, cfg, topo):
-        warm = _warm_model(cfg, topo)
-        assert modelcache.save_from(warm) is True
-        assert modelcache.save_from(warm) is False
-        assert modelcache.save_from(warm, force=True) is True
-        assert modelcache.stats()["saves"] == 2
-
-    def test_missing_file_is_a_miss(self, cfg, topo):
-        cold = FlowRouteModel(topo, cfg.network, "adp")
-        assert modelcache.load_into(cold) is False
-        assert modelcache.stats()["misses"] == 1
-        assert modelcache.stats()["errors"] == 0
-
-    def test_corrupt_file_is_a_counted_miss(self, cfg, topo):
-        warm = _warm_model(cfg, topo)
-        modelcache.save_from(warm)
-        (path,) = self.dir.glob("model-*.pkl")
-        path.write_bytes(b"not a pickle")
-        cold = FlowRouteModel(topo, cfg.network, "adp")
-        assert modelcache.load_into(cold) is False
-        assert not cold._cache
-        assert modelcache.stats()["errors"] == 1
-        assert modelcache.stats()["misses"] == 1
-
-    def test_disabled_without_env(self, cfg, topo, monkeypatch):
-        monkeypatch.delenv(modelcache.MODEL_CACHE_ENV)
-        warm = _warm_model(cfg, topo)
-        assert modelcache.cache_dir() is None
-        assert modelcache.save_from(warm) is False
-        assert modelcache.load_into(warm) is False
-        assert modelcache.stats() == {
-            "hits": 0,
-            "misses": 0,
-            "saves": 0,
-            "errors": 0,
-        }
-
-    def test_flow_route_model_loads_from_disk(self, cfg, topo):
-        """The shared-model constructor prewarms from the disk cache
-        when the knob is set: a fresh process-level lookup starts with
-        the persisted memos already derived."""
-        modelcache.save_from(_warm_model(cfg, topo))
-        _shared_model.cache_clear()
-        model = flow_route_model(topo, cfg.network, "adp")
-        assert modelcache.stats()["hits"] == 1
-        assert model._cache  # warmed before any entry() call
-        _shared_model.cache_clear()
-
-
-class TestPrewarmParams:
-    def _spec(self, routing, params=None):
-        return SimpleNamespace(routing=routing, flow_params=params)
-
-    def test_prewarm_warms_each_params_combination(self, cfg, monkeypatch):
-        """Regression: prewarm used to key models by routing alone, so
-        a spec carrying non-default ``FlowParams`` warmed the *default*
-        model and the cell then paid the full derivation cost."""
-        calls = []
-
-        def recorder(topo, net, routing, params=None):
-            calls.append((routing, params))
-            return ("model", routing, params)
-
-        monkeypatch.setattr(
-            "repro.flow.batch.flow_route_model", recorder
-        )
-        runner = BatchedFlowRunner(cfg, runner=lambda c, s, t: None)
-        tuned = FlowParams(epoch_ns=0.0)
-        specs = [
-            self._spec("adp"),
-            self._spec("adp", tuned),
-            self._spec("adp"),  # duplicate: one model, not two
-            self._spec("min"),
-        ]
-        assert runner.prewarm(specs) == 3
-        assert runner.models_warmed == 3
-        assert calls == [
-            ("adp", None),
-            ("adp", tuned),
-            ("min", None),
-        ]
-
-    def test_save_models_persists_prewarmed_set(
-        self, cfg, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv(modelcache.MODEL_CACHE_ENV, str(tmp_path))
-        modelcache.reset_stats()
-        runner = BatchedFlowRunner(cfg, runner=lambda c, s, t: None)
-        runner.prewarm([self._spec("adp"), self._spec("min")])
-        assert runner.save_models() == 2
-        assert len(list(tmp_path.glob("model-*.pkl"))) == 2
-        # Digests already on disk: nothing rewritten.
-        assert runner.save_models() == 0
-        modelcache.reset_stats()
-
-    def test_run_batch_saves_after_solving(
-        self, cfg, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv(modelcache.MODEL_CACHE_ENV, str(tmp_path))
-        modelcache.reset_stats()
-        runner = BatchedFlowRunner(
-            cfg, runner=lambda c, spec, trace: ("solved", spec.routing)
-        )
-        payloads = runner.run_batch([(self._spec("min"), "trace")])
-        assert [(s, r) for s, r, _ in payloads] == [
-            ("ok", ("solved", "min"))
-        ]
-        assert len(list(tmp_path.glob("model-*.pkl"))) == 1
-        modelcache.reset_stats()

@@ -11,6 +11,7 @@ import repro
 from repro.engine.simulator import Simulator
 from repro.flow.fabric import FlowFabric
 from repro.network.packet import Message
+from tests.flow_oracle import use_scalar_solver
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +245,7 @@ class TestWakeRearm:
 
     @pytest.mark.parametrize("solver", ("scalar", "vector"))
     def test_no_livelock_when_finish_time_rounds_to_now(
-        self, cfg, topo, solver
+        self, cfg, topo, solver, monkeypatch
     ):
         """At huge simulated times ``now + remaining/rate`` can round
         back to ``now``; re-arming the wake at the same instant then
@@ -253,8 +254,10 @@ class TestWakeRearm:
         over-covers the sub-ulp residual and finishes the flow.
         Before the fix this raised ``RuntimeError: simulation exceeded
         10000 events`` with zero deliveries."""
+        if solver == "scalar":
+            use_scalar_solver(monkeypatch)
         sim = Simulator()
-        fabric = FlowFabric(sim, topo, cfg.network, "min", solver=solver)
+        fabric = FlowFabric(sim, topo, cfg.network, "min")
         src, dst = same_router_pair(topo)
         msg = Message(0, src, dst, 100)
         sim.at(1e18, fabric.inject, msg)

@@ -168,7 +168,7 @@ class TestSpill:
     def test_single_packet_stays_minimal(self, adp_model, net, topo):
         """One quantum never builds backlog, so no detour is taken."""
         for src, dst in _pairs(topo):
-            entries = adp_model.spill(src, dst, net.packet_size, None)
+            entries = adp_model.spill_fast(src, dst, net.packet_size, None)
             assert len(entries) == 1
             assert entries[0].nonmin_fraction == 0.0
 
@@ -178,14 +178,14 @@ class TestSpill:
         the UGAL rule starts taking detours."""
         _, _, (src, dst) = _pairs(topo)
         size = net.packet_size * SPILL_QUANTA
-        entries = adp_model.spill(src, dst, size, None)
+        entries = adp_model.spill_fast(src, dst, size, None)
         assert len(entries) > 1
         assert any(e.nonmin_fraction for e in entries)
 
     def test_idle_spill_is_memoised(self, adp_model, net, topo):
         _, _, (src, dst) = _pairs(topo)
         size = net.packet_size * 8
-        assert adp_model.spill(src, dst, size, None) is adp_model.spill(
+        assert adp_model.spill_fast(src, dst, size, None) is adp_model.spill_fast(
             src, dst, size, None
         )
 
@@ -194,7 +194,7 @@ class TestSpill:
         _, _, (src, dst) = _pairs(topo)
         size = net.packet_size * 8
         zeros = [0.0] * topo.num_links
-        assert adp_model.spill(src, dst, size, zeros) == adp_model.spill(
+        assert adp_model.spill_fast(src, dst, size, zeros) == adp_model.spill_fast(
             src, dst, size, None
         )
 
@@ -204,12 +204,12 @@ class TestSpill:
         non-minimal candidates as the idle one."""
         _, _, (src, dst) = _pairs(topo)
         size = net.packet_size * 4
-        idle = adp_model.spill(src, dst, size, None)
+        idle = adp_model.spill_fast(src, dst, size, None)
         load = [0.0] * topo.num_links
         for cand in adp_model.candidates(src, dst):
             if cand.rr_path and not cand.entry.nonmin_fraction:
                 load[cand.rr_path[0]] += 64 * net.packet_size
-        loaded = adp_model.spill(src, dst, size, load)
+        loaded = adp_model.spill_fast(src, dst, size, load)
         n_idle = sum(1 for e in idle if e.nonmin_fraction)
         n_loaded = sum(1 for e in loaded if e.nonmin_fraction)
         assert n_loaded >= max(n_idle, 1)
@@ -249,7 +249,7 @@ class TestSpillEdgeCases:
         _, _, (src, dst) = _pairs(topo)
         at_cap = net.packet_size * SPILL_QUANTA
         far_past_cap = 3 * at_cap
-        assert adp_model.spill(src, dst, at_cap, None) is adp_model.spill(
+        assert adp_model.spill_fast(src, dst, at_cap, None) is adp_model.spill_fast(
             src, dst, far_past_cap, None
         )
 
@@ -261,8 +261,8 @@ class TestSpillEdgeCases:
         _, _, (src, dst) = _pairs(topo)
         below = net.packet_size * (SPILL_QUANTA - 1)
         at_cap = net.packet_size * SPILL_QUANTA
-        a = adp_model.spill(src, dst, below, None)
-        b = adp_model.spill(src, dst, at_cap, None)
+        a = adp_model.spill_fast(src, dst, below, None)
+        b = adp_model.spill_fast(src, dst, at_cap, None)
         assert a is not b
 
     def test_load_off_the_first_hops_still_hits_the_idle_memo(
@@ -283,7 +283,7 @@ class TestSpillEdgeCases:
             lid for lid in range(topo.num_links) if lid not in firsts
         )
         load[victim] = 1e9
-        assert adp_model.spill(src, dst, size, load) is adp_model.spill(
+        assert adp_model.spill_fast(src, dst, size, load) is adp_model.spill_fast(
             src, dst, size, None
         )
 
@@ -296,17 +296,17 @@ class TestSpillEdgeCases:
         backlog drains)."""
         _, _, (src, dst) = _pairs(topo)
         size = net.packet_size * 8
-        idle = adp_model.spill(src, dst, size, None)
+        idle = adp_model.spill_fast(src, dst, size, None)
         load = [0.0] * topo.num_links
         for cand in adp_model.candidates(src, dst):
             if cand.rr_path and not cand.entry.nonmin_fraction:
                 load[cand.rr_path[0]] += 64 * net.packet_size
-        loaded = adp_model.spill(src, dst, size, load)
+        loaded = adp_model.spill_fast(src, dst, size, load)
         assert loaded is not idle
-        assert adp_model.spill(src, dst, size, None) is idle
+        assert adp_model.spill_fast(src, dst, size, None) is idle
         # And each loaded call re-emulates against the ledger it was
         # given — no memoisation keyed on a mutable list.
-        assert adp_model.spill(src, dst, size, load) is not loaded
+        assert adp_model.spill_fast(src, dst, size, load) is not loaded
 
     def test_spill_set_is_monotone_in_message_size(
         self, adp_model, net, topo
@@ -317,7 +317,7 @@ class TestSpillEdgeCases:
         _, _, (src, dst) = _pairs(topo)
         prev: set = set()
         for quanta in (1, 2, 4, 8, 16, 32, SPILL_QUANTA):
-            entries = adp_model.spill(
+            entries = adp_model.spill_fast(
                 src, dst, net.packet_size * quanta, None
             )
             got = {e.links for e in entries}

@@ -23,18 +23,20 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.engine.simulator import Simulator
 from repro.flow.fabric import FlowFabric
-from repro.flow.solver import (
-    DEFAULT_SOLVER,
-    SOLVER_NAMES,
-    VECTOR_MIN_UNITS,
-    get_solver,
-    solve_scalar,
-    solve_vector,
-)
+from repro.flow.solver import VECTOR_MIN_UNITS, solve_scalar, solve_vector
 from repro.network.packet import Message
-from tests.flow_oracle import build, random_instance, rates_of, solve_scalar_oracle
+from tests.flow_oracle import (
+    build,
+    random_instance,
+    rates_of,
+    solve_scalar_oracle,
+    use_scalar_solver,
+)
 
 REL_TOL = 1e-9
+
+#: Both production fills: the pure-Python one and the numpy one.
+SOLVERS = {"scalar": solve_scalar, "vector": solve_vector}
 
 
 def assert_allocations_match(caps, flow_specs, rel_tol=REL_TOL):
@@ -118,16 +120,9 @@ class TestDifferential:
         assert solve_scalar_oracle(fs, caps) == []
         assert rates_of(fs) == rates_of(fv)
 
-    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    @pytest.mark.parametrize("name", SOLVERS)
     def test_empty_instance(self, name):
-        assert get_solver(name)([], [1.0, 2.0]) == []
-
-    def test_get_solver_rejects_unknown_names(self):
-        assert get_solver("scalar") is solve_scalar
-        assert get_solver("vector") is solve_vector
-        assert DEFAULT_SOLVER in SOLVER_NAMES
-        with pytest.raises(ValueError, match="unknown flow solver"):
-            get_solver("gurobi")
+        assert SOLVERS[name]([], [1.0, 2.0]) == []
 
 
 @st.composite
@@ -169,7 +164,7 @@ def _solve(name, caps, flow_specs):
 class TestMaxMinProperties:
     """The max-min invariants, asserted on both implementations."""
 
-    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    @pytest.mark.parametrize("name", SOLVERS)
     @settings(max_examples=60, deadline=None)
     @given(inst=instances())
     def test_capacity_feasibility(self, name, inst):
@@ -179,7 +174,7 @@ class TestMaxMinProperties:
         for lid, load in enumerate(link_loads(caps, flows)):
             assert load <= caps[lid] * (1.0 + 1e-9)
 
-    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    @pytest.mark.parametrize("name", SOLVERS)
     @settings(max_examples=60, deadline=None)
     @given(inst=instances())
     def test_bottleneck_condition(self, name, inst):
@@ -196,7 +191,7 @@ class TestMaxMinProperties:
                 )
                 assert slack <= 1e-6, (slack, u.links)
 
-    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    @pytest.mark.parametrize("name", SOLVERS)
     @settings(max_examples=40, deadline=None)
     @given(inst=instances(), data=st.data())
     def test_min_rate_monotone_in_capacity(self, name, inst, data):
@@ -215,7 +210,7 @@ class TestMaxMinProperties:
         hi = min(u.rate for f in raised for u in f.units)
         assert hi >= lo * (1.0 - 1e-9)
 
-    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    @pytest.mark.parametrize("name", SOLVERS)
     @settings(max_examples=40, deadline=None)
     @given(inst=instances(), k=st.integers(-3, 6))
     def test_power_of_two_homogeneity_is_exact(self, name, inst, k):
@@ -231,7 +226,7 @@ class TestMaxMinProperties:
             for u, v in zip(f.units, g.units):
                 assert v.rate == u.rate * scale
 
-    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    @pytest.mark.parametrize("name", SOLVERS)
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(2, 12),
@@ -247,7 +242,7 @@ class TestMaxMinProperties:
         assert len(set(rates)) == 1
         assert math.isclose(sum(r * w for r in rates), cap, rel_tol=1e-9)
 
-    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    @pytest.mark.parametrize("name", SOLVERS)
     def test_total_throughput_not_monotone_counterexample(self, name):
         """Documents why the suite does NOT assert per-unit or total
         monotonicity in capacity: raising link L's capacity from 1 to 5
@@ -269,7 +264,7 @@ class TestMaxMinProperties:
 
 
 class TestFabricConservation:
-    """End-to-end conservation through the fabric, on both solvers."""
+    """End-to-end conservation through the object fabric, on both fills."""
 
     @pytest.fixture(scope="class")
     def cfg(self):
@@ -279,11 +274,14 @@ class TestFabricConservation:
     def topo(self, cfg):
         return repro.Dragonfly(cfg.topology)
 
-    @pytest.mark.parametrize("solver", SOLVER_NAMES)
-    def test_every_injected_byte_is_delivered(self, cfg, topo, solver):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_every_injected_byte_is_delivered(
+        self, cfg, topo, solver, monkeypatch
+    ):
+        if solver == "scalar":
+            use_scalar_solver(monkeypatch)
         sim = Simulator()
-        fabric = FlowFabric(sim, topo, cfg.network, "adp", solver=solver)
-        assert fabric.solver == solver
+        fabric = FlowFabric(sim, topo, cfg.network, "adp")
         rng = random.Random(13)
         total = 0
         for i in range(40):
@@ -298,17 +296,3 @@ class TestFabricConservation:
         assert fabric.bytes_delivered == total
         assert fabric.messages_delivered == 40
         assert fabric.packets_delivered == fabric.packets_injected
-
-    def test_env_knob_selects_solver(self, cfg, topo, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_SOLVER", "scalar")
-        sim = Simulator()
-        fabric = FlowFabric(sim, topo, cfg.network, "min")
-        assert fabric.solver == "scalar"
-        assert fabric._solve_fn is solve_scalar
-        monkeypatch.delenv("REPRO_FLOW_SOLVER")
-        fabric = FlowFabric(Simulator(), topo, cfg.network, "min")
-        assert fabric.solver == DEFAULT_SOLVER
-
-    def test_unknown_solver_rejected(self, cfg, topo):
-        with pytest.raises(ValueError, match="unknown flow solver"):
-            FlowFabric(Simulator(), topo, cfg.network, "min", solver="nope")
