@@ -9,10 +9,17 @@ Covers the load-bearing promises of DESIGN.md S20:
 * the whole pipeline is deterministic: same cache, same seeds, same
   recommendation — and a warm funnel re-run simulates zero cells;
 * the ``surrogate`` cluster-stream policy produces valid, reproducible
-  streams whose allocations obey the machine invariants.
+  streams whose allocations obey the machine invariants;
+* the funnel report for both routings (ranking with flow and packet
+  scores, chosen candidate, exhaustive block) matches
+  ``tests/data/golden_advisor.json`` (rewritten by ``--update-goldens``),
+  which pins the funnel's flow-screen and packet-validate epoch cells.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +31,7 @@ from repro.exec.cache import ResultCache
 from repro.exec.plan import plan_grid
 from repro.exec.pool import execute_plan
 from repro.placement.policies import PLACEMENT_NAMES
+from tests.golden_helpers import load_golden, same
 
 RANKS = 8
 SEED = 7
@@ -124,6 +132,34 @@ class TestFunnelAgreement:
         ]
         for tier in b.tiers[1:]:
             assert tier.simulated == 0
+
+
+GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_advisor.json"
+
+#: The funnel call the golden pins, for both routings.
+FUNNEL = dict(per_policy=1, screen_top=3, validate_top=2, seed=3, exhaustive=True)
+
+
+class TestFunnelGolden:
+    def test_report_matches_golden(self, config, traces, model, update_goldens):
+        """Every funnel cell is simulated afresh (no cache), so the
+        golden holds the epoch-cell physics, not cached results."""
+        reports = {}
+        for routing in ("min", "adp"):
+            res = suggest_placement(
+                config, traces["FB"], routing, model, cache=None, **FUNNEL
+            )
+            payload = res.to_payload()
+            reports[routing] = {
+                k: payload[k] for k in ("chosen", "ranking", "exhaustive")
+            }
+        doc = json.loads(
+            json.dumps({"scenario": {"app": "FB", **FUNNEL}, "reports": reports})
+        )
+        golden = load_golden(GOLDEN_PATH, doc, update_goldens)
+        assert golden["scenario"] == doc["scenario"]
+        for routing, report in doc["reports"].items():
+            assert same(report, golden["reports"][routing]), routing
 
 
 class TestSurrogateStreamPolicy:

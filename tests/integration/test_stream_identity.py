@@ -9,7 +9,9 @@ payloads) are performance work only. These tests hold them to that:
 * three keys captured from the original code stay byte-identical, so
   caches written before the rewrite keep serving;
 * every job record and epoch key of that stream matches
-  ``tests/data/golden_stream.json`` (rewritten by ``--update-goldens``);
+  ``tests/data/golden_stream.json`` (rewritten by ``--update-goldens``),
+  and a tiny packet stream under a link-fault plan matches
+  ``tests/data/golden_stream_faults.json``;
 * the per-call op-repr memo never outlives its ``run_stream`` call.
 """
 
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from repro.cluster import engine, generate_stream, run_stream
 from repro.exec.plan import plan_grid
 from repro.mpi.ops import Compute
 from tests.flow_oracle import solve_scalar_oracle
+from tests.golden_helpers import load_golden, same
 
 #: The ``bench_cluster.py`` scenario: about 8 jobs, 16 epochs, 22 cells.
 MIX = "AMG=1,CR=1,FB=1"
@@ -43,7 +45,7 @@ FIRST_EPOCH_DIGEST = "6a99839fb7112922dfcbedb5cfe1dab49f932600dc9aea898d668cd64f
 PLAN_GRID_KEY = "a53111e612b7966ef0cb28e4f2697621a3b0b40db8bc9d808529c3cbe0c29f53"
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_stream.json"
-REL_TOL = 1e-9
+FAULTS_GOLDEN_PATH = GOLDEN_PATH.with_name("golden_stream_faults.json")
 
 
 def _rows(result):
@@ -114,21 +116,6 @@ class TestGoldenKeys:
         assert plan.specs[0].key == PLAN_GRID_KEY
 
 
-def _same(got, want) -> bool:
-    """Equal up to ``REL_TOL`` on floats, NaN equal to NaN."""
-    if isinstance(got, float) or isinstance(want, float):
-        return (math.isnan(got) and math.isnan(want)) or math.isclose(
-            got, want, rel_tol=REL_TOL, abs_tol=1e-12
-        )
-    if isinstance(got, list) and isinstance(want, list):
-        return len(got) == len(want) and all(map(_same, got, want))
-    if isinstance(got, dict) and isinstance(want, dict):
-        return got.keys() == want.keys() and all(
-            _same(got[k], want[k]) for k in got
-        )
-    return got == want
-
-
 class TestStreamGolden:
     def test_job_records_and_epoch_keys(self, stream_specs, update_goldens):
         result, _ = stream_specs
@@ -141,14 +128,53 @@ class TestStreamGolden:
                 }
             )
         )
-        if update_goldens:
-            GOLDEN_PATH.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        golden = json.loads(GOLDEN_PATH.read_text())
-        assert golden["scenario"] == doc["scenario"]
-        assert doc["epoch_keys"] == golden["epoch_keys"]
-        assert len(doc["jobs"]) == len(golden["jobs"])
-        for got, want in zip(doc["jobs"], golden["jobs"]):
-            assert _same(got, want), (got["name"], got, want)
+        _check_stream_golden(GOLDEN_PATH, doc, update_goldens)
+
+
+def _check_stream_golden(path: Path, doc: dict, update: bool) -> None:
+    golden = load_golden(path, doc, update)
+    assert golden["scenario"] == doc["scenario"]
+    assert doc["epoch_keys"] == golden["epoch_keys"]
+    assert len(doc["jobs"]) == len(golden["jobs"])
+    for got, want in zip(doc["jobs"], golden["jobs"]):
+        assert same(got, want), (got["name"], got, want)
+
+
+#: A packet stream under link faults: one dead link from the start, one
+#: dying mid-block and one degraded lane, so every epoch cell routes
+#: fault-aware and installs the plan. Link ids are router-to-router
+#: links of the tiny preset.
+FAULT_SCENARIO = dict(
+    mix=MIX, duration_s=1800.0, load=0.6, policy="cont", routing="adp",
+    backend="packet", seed=7,
+)
+FAULT_LINKS = [(48, 0.0, 0.0), (68, 20_000.0, 0.0), (57, 0.0, 0.5)]
+
+
+class TestFaultStreamGolden:
+    def test_job_records_and_epoch_keys(self, tmp_path, update_goldens):
+        from repro.faults import FaultPlan, LinkFault
+
+        plan = FaultPlan(
+            link_faults=tuple(
+                LinkFault(link, time_ns=t, bw_scale=scale)
+                for link, t, scale in FAULT_LINKS
+            )
+        )
+        result = run_stream(
+            repro.tiny(), cache=str(tmp_path), faults=plan, **FAULT_SCENARIO
+        )
+        assert result.counters["cells_simulated"] > 0
+        doc = json.loads(
+            json.dumps(
+                {
+                    "scenario": {**FAULT_SCENARIO, "link_faults": FAULT_LINKS},
+                    "jobs": [dataclasses.asdict(j) for j in result.jobs],
+                    "epoch_keys": [e.key for e in result.epochs],
+                }
+            )
+        )
+        _check_stream_golden(FAULTS_GOLDEN_PATH, doc, update_goldens)
 
 
 class TestReprMemoScope:
