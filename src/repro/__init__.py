@@ -49,14 +49,12 @@ from repro.apps import (
 from repro.metrics import RunMetrics, TimeSeriesMetrics, cdf, box_stats
 from repro.obs import CongestionEvent, ObsConfig, ObsRecorder
 from repro.core import (
-    JobSpec,
     Recommendation,
     RunResult,
     TradeoffStudy,
     interference_study,
     recommend,
     resilience_study,
-    run_cluster,
     run_single,
     sensitivity_sweep,
     variability_study,
@@ -156,8 +154,6 @@ __all__ = [
     "interference_study",
     "run_single",
     "sensitivity_sweep",
-    "JobSpec",
-    "run_cluster",
     "Recommendation",
     "recommend",
     "resilience_study",

@@ -52,8 +52,12 @@ from repro.cluster.accounting import (
 from repro.cluster.scheduler import ClusterScheduler
 from repro.cluster.workload import StreamJob, WorkloadMix, generate_stream
 from repro.config import SimulationConfig
-from repro.core.runner import RunResult, build_topology
-from repro.engine.simulator import Simulator
+from repro.core.runner import (
+    RunResult,
+    assemble,
+    build_topology,
+    check_cell_options,
+)
 from repro.exec.cache import ResultCache
 from repro.exec.plan import (
     DEFAULT_MAX_EVENTS,
@@ -66,11 +70,9 @@ from repro.exec.plan import (
 )
 from repro.exec.pool import execute_plan
 from repro.metrics.collector import RunMetrics
-from repro.mpi.replay import JobResult, ReplayEngine
+from repro.mpi.replay import JobResult
 from repro.mpi.trace import JobTrace, RankTrace
-from repro.network.fabric import Fabric
 from repro.placement.machine import Machine
-from repro.routing import make_routing
 
 __all__ = ["EpochSpec", "merge_epoch_trace", "run_stream", "simulate_epoch"]
 
@@ -142,30 +144,21 @@ def simulate_epoch(
     epoch: EpochSpec = spec.epoch
     if epoch is None:
         raise ValueError("simulate_epoch requires spec.epoch")
-    topo = build_topology(config.topology)
-    sim = Simulator()
-    fault_plan = None
-    if spec.faults is not None and not spec.faults.is_empty():
-        if spec.backend == "flow":
-            raise ValueError("flow epoch cells cannot carry fault plans")
-        fault_plan = spec.faults
-        fault_plan.validate(topo)
-    if spec.backend == "flow":
-        from repro.flow.fabric import FlowFabric
+    # Epoch cells stay on the object fabric until the stream reference
+    # is re-pinned for the array fabric (DESIGN.md §12).
+    from repro.flow.fabric import FlowFabric
 
-        fabric = FlowFabric(
-            sim, topo, config.network, spec.routing, spec.flow_params
-        )
-    else:
-        if fault_plan is not None:
-            from repro.faults.routing import make_fault_aware_routing
-
-            routing = make_fault_aware_routing(spec.routing, seed=spec.seed)
-        else:
-            routing = make_routing(spec.routing, seed=spec.seed)
-        fabric = Fabric(sim, topo, config.network, routing)
-
-    engine = ReplayEngine(sim, fabric, compute_scale=spec.compute_scale)
+    cell = assemble(
+        config,
+        spec.routing,
+        spec.seed,
+        compute_scale=spec.compute_scale,
+        faults=spec.faults,
+        backend=spec.backend,
+        flow_params=spec.flow_params,
+        flow_fabric=FlowFabric,
+    )
+    engine = cell.engine
     offset = 0
     placements: list[tuple[str, list[int]]] = []
     for idx, (name, num_ranks, nodes) in enumerate(epoch.jobs):
@@ -185,12 +178,6 @@ def simulate_epoch(
         raise ValueError(
             f"epoch trace has {trace.num_ranks} ranks but spec spans {offset}"
         )
-
-    if fault_plan is not None:
-        from repro.faults.plan import install_plan
-
-        install_plan(sim, fabric, fault_plan)
-
     engine.run(max_events=spec.max_events)
 
     per_job: dict[str, dict[str, float]] = {}
@@ -218,10 +205,10 @@ def simulate_epoch(
         np.concatenate([p.bytes_recv for p in parts]),
     )
     all_nodes = [n for _, nodes in placements for n in nodes]
-    metrics = RunMetrics.from_run(fabric, topo, merged, all_nodes)
-    nonmin = (
-        fabric.nonminimal_fraction if spec.backend == "flow" else 0.0
-    )
+    metrics = RunMetrics.from_run(cell.fabric, cell.topo, merged, all_nodes)
+    # Packet epoch cells do not read their routing counters yet (DESIGN.md
+    # §12): reading them changes cached results.
+    nonmin = cell.nonminimal_fraction if spec.backend == "flow" else 0.0
     return RunResult(
         app=spec.app,
         placement=spec.placement,
@@ -230,8 +217,8 @@ def simulate_epoch(
         job=merged,
         metrics=metrics,
         nodes=all_nodes,
-        sim_time_ns=sim.now,
-        events=sim.events_run,
+        sim_time_ns=cell.sim.now,
+        events=cell.sim.events_run,
         nonminimal_fraction=nonmin,
         extra={"epoch_jobs": per_job},
         backend=spec.backend,
@@ -309,8 +296,7 @@ def run_stream(
         mix = WorkloadMix.parse(mix)
     if isinstance(cache, str):
         cache = ResultCache(cache)
-    if backend not in ("packet", "flow"):
-        raise ValueError(f"unknown backend {backend!r}")
+    check_cell_options(backend)
     if jobs is not None:
         dup = sorted(i for i, n in Counter(j.id for j in jobs).items() if n > 1)
         if dup:

@@ -32,7 +32,6 @@ from repro.core.advisor import (
     characterize,
     recommend,
 )
-from repro.core.cluster import ClusterResult, JobSpec, run_cluster
 from repro.core.resilience import ResilienceResult, resilience_study
 from repro.core.variability import VariabilityResult, variability_study
 
@@ -55,9 +54,6 @@ __all__ = [
     "TraceProfile",
     "characterize",
     "recommend",
-    "ClusterResult",
-    "JobSpec",
-    "run_cluster",
     "ResilienceResult",
     "resilience_study",
     "VariabilityResult",

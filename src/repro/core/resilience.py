@@ -141,7 +141,6 @@ def resilience_study(
     cache_dir=None,
     progress=None,
     obs=None,
-    backend: str = "packet",
 ) -> ResilienceResult:
     """Sweep failure rate over the placement x routing grid.
 
@@ -183,7 +182,6 @@ def resilience_study(
             compute_scale=compute_scale,
             obs=obs,
             faults=plan,
-            backend=backend,
         ).run(
             max_workers=max_workers, cache_dir=cache_dir, progress=progress
         )

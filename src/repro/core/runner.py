@@ -1,10 +1,15 @@
-"""Single-run driver: trace + placement + routing -> metrics."""
+"""Cell assembly and the single-run driver: trace + placement + routing -> metrics.
+
+:func:`assemble` wires every simulation cell; :func:`run_single` and
+:func:`~repro.cluster.engine.simulate_epoch` add their jobs and run it.
+"""
 
 from __future__ import annotations
 
 import functools
 import time
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.config import DragonflyParams, SimulationConfig
 from repro.engine.simulator import Simulator
@@ -19,7 +24,14 @@ from repro.routing import make_routing
 from repro.routing.adaptive import AdaptiveRouting
 from repro.topology.dragonfly import Dragonfly
 
-__all__ = ["RunResult", "run_single", "build_topology"]
+__all__ = [
+    "Cell",
+    "RunResult",
+    "assemble",
+    "build_topology",
+    "check_cell_options",
+    "run_single",
+]
 
 #: Job id used for the target application in single-job runs.
 TARGET_JOB = 0
@@ -64,6 +76,119 @@ class RunResult:
     def label(self) -> str:
         """Table-I style configuration label, e.g. ``cont-min``."""
         return f"{self.placement}-{self.routing}"
+
+
+def check_cell_options(
+    backend: str = "packet", obs=None, faults=None, flow_params=None
+) -> None:
+    """Reject a backend/option combination no cell can run.
+
+    :func:`assemble` calls this for every cell; the plan builders call
+    it once per plan, so a bad combination fails before any cell is
+    planned instead of inside every cell.
+    """
+    if backend not in ("packet", "flow"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if flow_params is not None and backend != "flow":
+        raise ValueError("flow_params is only meaningful with backend='flow'")
+    if backend == "flow":
+        if obs is not None:
+            raise ValueError(
+                "the flow backend does not support observability (obs); "
+                "use backend='packet' for time-resolved telemetry"
+            )
+        if faults is not None and not faults.is_empty():
+            raise ValueError(
+                "the flow backend does not support fault plans; "
+                "use backend='packet' for resilience studies"
+            )
+
+
+@dataclass
+class Cell:
+    """A wired simulation cell whose engine is ready for jobs."""
+
+    topo: Dragonfly
+    sim: Simulator
+    fabric: Any
+    engine: ReplayEngine
+    #: The packet fabric's routing policy; flow fabrics route internally.
+    policy: Any = None
+    #: The installed fault plan, or None for a healthy cell.
+    faults: Any = None
+    recorder: ObsRecorder | None = None
+
+    @property
+    def nonminimal_fraction(self) -> float:
+        """Share of routing decisions that went non-minimal."""
+        if self.policy is None:
+            return self.fabric.nonminimal_fraction
+        if isinstance(self.policy, AdaptiveRouting):
+            decided = self.policy.minimal_taken + self.policy.nonminimal_taken
+            if decided:
+                return self.policy.nonminimal_taken / decided
+        return 0.0
+
+
+def assemble(
+    config: SimulationConfig,
+    routing: str,
+    seed: int,
+    *,
+    compute_scale: float = 0.0,
+    record_sends: bool = False,
+    obs: ObsConfig | None = None,
+    faults=None,
+    backend: str = "packet",
+    flow_params=None,
+    flow_fabric=None,
+) -> Cell:
+    """Wire one simulation cell; the caller adds jobs and runs the engine.
+
+    A non-empty ``faults`` plan is validated, the fault-aware variant of
+    the routing policy is used, and the plan is installed after the
+    observability recorder, so t=0 fault onsets land in the congestion
+    trace; scheduled onsets are ordinary (time, seq) events, totally
+    ordered against traffic. ``None`` and an empty plan take the exact
+    healthy code path.
+
+    Flow cells build ``flow_fabric`` (a fabric class), by default
+    :class:`~repro.flow.fabric_array.ArrayFlowFabric`.
+    """
+    check_cell_options(backend, obs, faults, flow_params)
+    topo = build_topology(config.topology)
+    fault_plan = None
+    if faults is not None and not faults.is_empty():
+        fault_plan = faults
+        fault_plan.validate(topo)
+
+    sim = Simulator()
+    policy = None
+    if backend == "flow":
+        if flow_fabric is None:
+            from repro.flow.fabric_array import ArrayFlowFabric
+
+            flow_fabric = ArrayFlowFabric
+        fabric = flow_fabric(sim, topo, config.network, routing, flow_params)
+    else:
+        if fault_plan is not None:
+            from repro.faults.routing import make_fault_aware_routing
+
+            policy = make_fault_aware_routing(routing, seed=seed)
+        else:
+            policy = make_routing(routing, seed=seed)
+        fabric = Fabric(sim, topo, config.network, policy)
+    engine = ReplayEngine(
+        sim, fabric, compute_scale=compute_scale, record_sends=record_sends
+    )
+    recorder = None
+    if obs is not None:
+        recorder = ObsRecorder(sim, fabric, obs).install()
+    if fault_plan is not None:
+        from repro.faults.plan import install_plan
+
+        install_plan(sim, fabric, fault_plan)
+    return Cell(topo, sim, fabric, engine, policy, fault_plan, recorder)
 
 
 def run_single(
@@ -116,94 +241,42 @@ def run_single(
     Only meaningful with ``backend="flow"``.
     """
     wall_start = time.perf_counter()
-    if backend not in ("packet", "flow"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if flow_params is not None and backend != "flow":
-        raise ValueError(
-            "flow_params is only meaningful with backend='flow'"
-        )
-    if backend == "flow":
-        if obs is not None:
-            raise ValueError(
-                "the flow backend does not support observability (obs); "
-                "use backend='packet' for time-resolved telemetry"
-            )
-        if faults is not None and not faults.is_empty():
-            raise ValueError(
-                "the flow backend does not support fault injection; "
-                "use backend='packet' for resilience studies"
-            )
     if seed is None:
         seed = config.seed
-    topo = build_topology(config.topology)
+    cell = assemble(
+        config,
+        routing,
+        seed,
+        compute_scale=compute_scale,
+        record_sends=record_sends,
+        obs=obs,
+        faults=faults,
+        backend=backend,
+        flow_params=flow_params,
+    )
     machine = Machine(config.topology)
-    fault_plan = None
-    if faults is not None and not faults.is_empty():
-        fault_plan = faults
-        fault_plan.validate(topo)
-        dead_nodes = fault_plan.dead_nodes(topo)
-        if dead_nodes:
-            machine.mark_down(dead_nodes)
+    dead_nodes = cell.faults.dead_nodes(cell.topo) if cell.faults is not None else []
+    machine.mark_down(dead_nodes)
     nodes = machine.allocate(placement, trace.num_ranks, seed=seed)
 
-    sim = Simulator()
-    routing_policy = None
-    if backend == "flow":
-        from repro.flow.fabric_array import ArrayFlowFabric
-
-        fabric = ArrayFlowFabric(sim, topo, config.network, routing, flow_params)
-    else:
-        if fault_plan is not None:
-            from repro.faults.routing import make_fault_aware_routing
-
-            routing_policy = make_fault_aware_routing(routing, seed=seed)
-        else:
-            routing_policy = make_routing(routing, seed=seed)
-        fabric = Fabric(sim, topo, config.network, routing_policy)
-    engine = ReplayEngine(
-        sim, fabric, compute_scale=compute_scale, record_sends=record_sends
-    )
+    engine = cell.engine
     engine.add_job(TARGET_JOB, trace, nodes)
-
     injector = None
     if background is not None:
-        bg_nodes = machine.free_nodes()
-        injector = background.build(bg_nodes, seed=seed)
+        injector = background.build(machine.free_nodes(), seed=seed)
         engine.add_injector(injector)
-
-    recorder = None
-    if obs is not None:
-        recorder = ObsRecorder(sim, fabric, obs).install()
-
-    if fault_plan is not None:
-        # After the recorder install so t=0 fault onsets land in the
-        # congestion trace; scheduled onsets are ordinary (time, seq)
-        # events, totally ordered against packet traffic.
-        from repro.faults.plan import install_plan
-
-        install_plan(sim, fabric, fault_plan)
-
     engine.run(target_job=TARGET_JOB, max_events=max_events)
 
     job = engine.job_result(TARGET_JOB)
-    metrics = RunMetrics.from_run(fabric, topo, job, nodes)
-    timeseries = recorder.finalize(sim.now) if recorder is not None else None
-
-    nonmin_frac = 0.0
-    if backend == "flow":
-        nonmin_frac = fabric.nonminimal_fraction
-    elif isinstance(routing_policy, AdaptiveRouting):
-        decided = routing_policy.minimal_taken + routing_policy.nonminimal_taken
-        if decided:
-            nonmin_frac = routing_policy.nonminimal_taken / decided
-
+    metrics = RunMetrics.from_run(cell.fabric, cell.topo, job, nodes)
+    timeseries = cell.recorder.finalize(cell.sim.now) if cell.recorder else None
     extra: dict = {}
-    if fault_plan is not None:
+    if cell.faults is not None:
         extra["faults"] = {
-            "digest": fault_plan.digest,
-            "links_failed": fabric.faults_applied,
-            "packets_rerouted": fabric.packets_rerouted,
-            "nodes_fenced": len(fault_plan.dead_nodes(topo)),
+            "digest": cell.faults.digest,
+            "links_failed": cell.fabric.faults_applied,
+            "packets_rerouted": cell.fabric.packets_rerouted,
+            "nodes_fenced": len(dead_nodes),
         }
 
     return RunResult(
@@ -214,9 +287,9 @@ def run_single(
         job=job,
         metrics=metrics,
         nodes=nodes,
-        sim_time_ns=sim.now,
-        events=sim.events_run,
-        nonminimal_fraction=nonmin_frac,
+        sim_time_ns=cell.sim.now,
+        events=cell.sim.events_run,
+        nonminimal_fraction=cell.nonminimal_fraction,
         background_messages=injector.messages_sent if injector else 0,
         extra=extra,
         obs=timeseries,

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.config import SimulationConfig
+from repro.core.runner import check_cell_options
 from repro.mpi.trace import JobTrace
 
 __all__ = [
@@ -297,8 +298,10 @@ def plan_grid(
     """Enumerate the placement x routing grid (paper Sections IV-A/IV-C).
 
     Cell order is app-major then placement then routing — exactly the
-    serial ``TradeoffStudy.run`` loop nest.
+    serial ``TradeoffStudy.run`` loop nest. A backend/option combination
+    no cell can run raises :class:`ValueError` here, before planning.
     """
+    check_cell_options(backend, obs, faults)
     cfg_digest = config_digest(config)
     fingerprints = {app: trace_fingerprint(t) for app, t in traces.items()}
     specs = tuple(
@@ -340,8 +343,10 @@ def plan_sensitivity(
 
     Each scale gets its own pre-scaled trace under the key
     ``"<name>@x<scale>"``; cell order is scale-major then config,
-    matching the serial ``sensitivity_sweep`` loop nest.
+    matching the serial ``sensitivity_sweep`` loop nest. Options are
+    checked as in :func:`plan_grid`.
     """
+    check_cell_options(backend, obs, faults)
     cfg_digest = config_digest(config)
     specs: list[RunSpec] = []
     traces: dict[str, JobTrace] = {}

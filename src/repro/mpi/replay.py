@@ -144,7 +144,6 @@ class _JobState:
         "job_id",
         "trace",
         "nodes",
-        "start_ns",
         "ranks",
         "barrier_waiting",
         "finished_ranks",
@@ -155,13 +154,10 @@ class _JobState:
         "send_events",
     )
 
-    def __init__(
-        self, job_id: int, trace: JobTrace, nodes: list[int], start_ns: float = 0.0
-    ) -> None:
+    def __init__(self, job_id: int, trace: JobTrace, nodes: list[int]) -> None:
         self.job_id = job_id
         self.trace = trace
         self.nodes = list(nodes)
-        self.start_ns = start_ns
         self.ranks: list[_RankState] = []
         self.barrier_waiting: list[_RankState] = []
         self.finished_ranks = 0
@@ -274,18 +270,8 @@ class ReplayEngine:
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
-    def add_job(
-        self,
-        job_id: int,
-        trace: JobTrace,
-        nodes: list[int],
-        start_ns: float = 0.0,
-    ) -> None:
-        """Register a job with its rank->node placement.
-
-        ``start_ns`` delays the job's first operation — multi-job
-        workloads (cluster studies) submit jobs at different times.
-        """
+    def add_job(self, job_id: int, trace: JobTrace, nodes: list[int]) -> None:
+        """Register a job with its rank->node placement; it starts at t=0."""
         if self._started:
             raise RuntimeError("cannot add jobs after the replay has started")
         if job_id in self._jobs:
@@ -294,12 +280,10 @@ class ReplayEngine:
             raise ValueError(
                 f"placement has {len(nodes)} nodes for {trace.num_ranks} ranks"
             )
-        if start_ns < 0:
-            raise ValueError("start_ns must be non-negative")
         # Note: several ranks may legitimately share a node (the paper
         # maps one rank per node, but the engine supports co-location;
         # same-node messages bypass the fabric as local copies).
-        js = _JobState(job_id, trace, nodes, start_ns)
+        js = _JobState(job_id, trace, nodes)
         if self.record_sends:
             js.send_events = []
         for rt in trace.ranks:
@@ -326,7 +310,7 @@ class ReplayEngine:
         self._started = True
         for js in self._jobs.values():
             for rs in js.ranks:
-                self.sim.at(js.start_ns, self._advance, rs)
+                self.sim.at(0.0, self._advance, rs)
         for injector in self._injectors:
             injector.start(self.sim, self.fabric)
 
@@ -377,7 +361,7 @@ class ReplayEngine:
         for i, rs in enumerate(js.ranks):
             ft = rs.finish_time if rs.finish_time >= 0 else self.sim.now
             finish[i] = ft
-            comm[i] = ft - js.start_ns - rs.compute_total - rs.barrier_total
+            comm[i] = ft - rs.compute_total - rs.barrier_total
             blocked[i] = rs.blocked_total
             sent[i] = rs.bytes_sent
             recv[i] = rs.bytes_recv

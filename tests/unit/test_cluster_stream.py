@@ -26,6 +26,7 @@ from repro.cluster import (
 from repro.cluster.workload import default_mix
 from repro.exec.plan import RunSpec, config_digest, trace_fingerprint
 from repro.flow.routes import FlowParams
+from repro.mpi.trace import JobTrace
 from repro.placement.machine import Machine
 
 
@@ -235,7 +236,9 @@ class TestScheduler:
 # ---------------------------------------------------------------------------
 # epoch cells
 # ---------------------------------------------------------------------------
-def _epoch_spec_for(config, jobs_nodes, backend="flow", seed=0, mix="CR=1"):
+def _epoch_spec_for(
+    config, jobs_nodes, backend="flow", seed=0, mix="CR=1", routing="adp"
+):
     epoch = EpochSpec(
         jobs=tuple(
             (t.name, t.num_ranks, tuple(nodes)) for t, nodes in jobs_nodes
@@ -249,7 +252,7 @@ def _epoch_spec_for(config, jobs_nodes, backend="flow", seed=0, mix="CR=1"):
     spec = RunSpec(
         app=merged.name,
         placement="cont",
-        routing="adp",
+        routing=routing,
         seed=seed,
         config_digest=config_digest(config),
         trace_digest=trace_fingerprint(merged),
@@ -391,6 +394,42 @@ class TestEpochCells:
         )
         assert reseeded.key != base.key
         assert other_seed.key != base.key
+
+
+class TestInterferencePhysics:
+    @staticmethod
+    def _mean_slowdown(config, placement, backend):
+        """Mean over both jobs of the shared cell's median comm time
+        relative to the job's own single-job cell."""
+        machine = Machine(config.topology)
+        jobs = []
+        for i in range(2):
+            fb = repro.fill_boundary_trace(num_ranks=24, seed=i + 1).scaled(0.03)
+            nodes = machine.claim_nodes(i, placement, 24, seed=5 + i)
+            jobs.append((JobTrace(f"FB-{i}", fb.ranks), nodes))
+
+        def comm_ns(members):
+            spec, merged = _epoch_spec_for(
+                config, members, backend=backend, seed=5, mix="FB=1",
+                routing="min",
+            )
+            per_job = simulate_epoch(config, spec, merged).extra["epoch_jobs"]
+            return {name: tele["comm_ns"] for name, tele in per_job.items()}
+
+        shared = comm_ns(jobs)
+        slowdowns = [
+            shared[t.name] / comm_ns([(t, nodes)])[t.name] for t, nodes in jobs
+        ]
+        return sum(slowdowns) / len(slowdowns)
+
+    @pytest.mark.parametrize("backend", ["packet", "flow"])
+    def test_interleaved_jobs_slow_more(self, small_config, backend):
+        """Two heavy jobs interleaved node-by-node slow each other more
+        than the same jobs placed contiguously apart (the bully effect
+        from the authors' prior work)."""
+        spread = self._mean_slowdown(small_config, "rand", backend)
+        apart = self._mean_slowdown(small_config, "cont", backend)
+        assert apart <= spread + 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Planning: grid/sweep enumeration and content-addressed spec keys."""
 
+import pytest
+
 import repro
 from repro.core.interference import BackgroundSpec
+from repro.core.study import TradeoffStudy
 from repro.exec.plan import (
     config_digest,
     plan_grid,
     plan_sensitivity,
     trace_fingerprint,
 )
+from repro.faults import FaultPlan, LinkFault
+from repro.obs import ObsConfig
 
 from tests.exec_helpers import tiny_trace
 
@@ -116,3 +121,45 @@ class TestSensitivityPlan:
             repro.tiny(), trace, (0.5, 1.0), (("cont", "min"),)
         )
         assert len(set(plan.keys())) == 2
+
+
+#: Option sets no cell can run, and the word each error names.
+BAD_OPTIONS = {
+    "unknown-backend": (dict(backend="bogus"), "backend"),
+    "flow-obs": (dict(backend="flow", obs=ObsConfig(window_ns=1e4)), "obs"),
+    "flow-faults": (
+        dict(backend="flow", faults=FaultPlan(link_faults=(LinkFault(48),))),
+        "fault",
+    ),
+}
+
+
+class TestPlanBoundary:
+    """Bad cell options fail when the plan is built, not in every cell."""
+
+    @pytest.mark.parametrize("case", BAD_OPTIONS)
+    def test_plan_grid_rejects(self, case):
+        options, word = BAD_OPTIONS[case]
+        with pytest.raises(ValueError, match=word):
+            plan_grid(repro.tiny(), small_traces(), ["cont"], ["min"], **options)
+
+    @pytest.mark.parametrize("case", BAD_OPTIONS)
+    def test_plan_sensitivity_rejects(self, case):
+        options, word = BAD_OPTIONS[case]
+        with pytest.raises(ValueError, match=word):
+            plan_sensitivity(
+                repro.tiny(), tiny_trace(), (1.0,), (("cont", "min"),), **options
+            )
+
+    @pytest.mark.parametrize("case", BAD_OPTIONS)
+    def test_study_raises_before_any_cell_runs(self, case, monkeypatch):
+        from repro.core import study
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell was executed")
+
+        monkeypatch.setattr(study, "execute_plan", no_cells)
+        options, word = BAD_OPTIONS[case]
+        amg = repro.amg_trace(num_ranks=8, seed=1)
+        with pytest.raises(ValueError, match=word):
+            TradeoffStudy(repro.tiny(), {"AMG": amg}, **options).run()
