@@ -5,11 +5,26 @@ out=smoke-out
 mkdir -p "$out"
 
 # The fixture is a param/commsTraceReplay-style JSON document; it must
-# import, replay through the CLI, and produce bit-identical grid results
-# under serial and 2-worker parallel execution.
+# import, replay through the CLI at the requested message scale, and
+# produce bit-identical grid results under serial and 2-worker parallel
+# execution.
 PYTHONPATH=src python -m repro.cli replay \
   tests/data/comms_trace_dp8.json \
-  --preset tiny --seed 7 --msg-scale 0.05
+  --preset tiny --seed 7 --msg-scale 0.05 | tee "$out/replay.txt"
+
+PYTHONPATH=src python - <<'PY'
+import repro
+from repro.core.runner import run_single
+from repro.mlcomms import load_comms_trace
+
+trace = load_comms_trace("tests/data/comms_trace_dp8.json").scaled(0.05)
+result = run_single(repro.tiny(), trace, "cont", "min", seed=7)
+want = f"{result.metrics.summary()['max_comm_ms']:.4f}"
+(line,) = [l for l in open("smoke-out/replay.txt") if "max_comm_ms" in l]
+got = line.split(":")[1].strip()
+assert got == want, (got, want)
+print(f"replay max_comm_ms {got} matches the library at msg-scale 0.05")
+PY
 
 PYTHONPATH=src python - <<'PY'
 import repro

@@ -80,7 +80,6 @@ from repro.flow import (
     BACKEND_NAMES,
     FidelityReport,
     FlowFabric,
-    FlowParams,
     fidelity_report,
 )
 from repro.cluster import (
@@ -174,7 +173,6 @@ __all__ = [
     "BACKEND_NAMES",
     "FidelityReport",
     "FlowFabric",
-    "FlowParams",
     "fidelity_report",
     "ClusterScheduler",
     "EpochSpec",

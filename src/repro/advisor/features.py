@@ -33,7 +33,7 @@ from repro.config import SimulationConfig
 from repro.core.advisor import characterize
 from repro.core.runner import build_topology
 from repro.engine.rng import rng_stream, spawn_seed
-from repro.flow.routes import FlowParams, flow_route_model
+from repro.flow.routes import flow_route_model
 from repro.mpi.trace import JobTrace
 from repro.placement.machine import Machine
 from repro.placement.policies import PLACEMENT_NAMES, make_placement
@@ -172,7 +172,6 @@ class FeatureExtractor:
         config: SimulationConfig,
         trace: JobTrace,
         routing: str,
-        flow_params: FlowParams | None = None,
     ) -> None:
         if routing not in ("min", "adp"):
             raise ValueError(f"unknown routing policy {routing!r}")
@@ -184,9 +183,7 @@ class FeatureExtractor:
         #: model — the uniform-spread expectation both routings start
         #: from; the routing itself enters as the ``routing_adp`` flag
         #: and the surrogate learns the adaptive correction.
-        self.model = flow_route_model(
-            self.topo, config.network, "min", flow_params
-        )
+        self.model = flow_route_model(self.topo, config.network, "min")
         profile = characterize(trace)
         self.profile = profile
         duration_ns = 1e6 + profile.compute_ns_per_rank

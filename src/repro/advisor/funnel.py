@@ -47,7 +47,6 @@ from repro.exec.plan import (
     trace_fingerprint,
 )
 from repro.exec.pool import execute_plan
-from repro.flow.routes import FlowParams
 from repro.mpi.trace import JobTrace
 from repro.placement.policies import PLACEMENT_NAMES
 
@@ -225,7 +224,6 @@ def _epoch_plan(
     seed: int,
     trace_digest: str,
     cfg_digest: str,
-    flow_params: FlowParams | None,
 ) -> ExperimentPlan:
     """One single-job epoch cell per candidate, on ``backend``.
 
@@ -249,7 +247,6 @@ def _epoch_plan(
                 stream_seed=seed,
                 mix="advisor-funnel",
             ),
-            flow_params=flow_params if backend == "flow" else None,
         )
         for cand in candidates
     )
@@ -272,7 +269,6 @@ def _run_tier(
     seed: int,
     trace_digest: str,
     cfg_digest: str,
-    flow_params: FlowParams | None,
     cache: ResultCache | None,
     max_workers: int,
     timeout_s: float | None,
@@ -290,7 +286,6 @@ def _run_tier(
         seed,
         trace_digest,
         cfg_digest,
-        flow_params,
     )
     start = time.perf_counter()
     report = execute_plan(
@@ -329,7 +324,6 @@ def suggest_placement(
     seed: int = 0,
     cache: ResultCache | str | None = None,
     max_workers: int = 1,
-    flow_params: FlowParams | None = None,
     timeout_s: float | None = None,
     exhaustive: bool = False,
 ) -> FunnelResult:
@@ -357,7 +351,7 @@ def suggest_placement(
 
     # -- tier 1: surrogate ranking ------------------------------------
     start = time.perf_counter()
-    fx = FeatureExtractor(config, trace, routing, flow_params)
+    fx = FeatureExtractor(config, trace, routing)
     predictions = model.predict(fx.matrix(candidates))
     order = np.argsort(predictions, kind="stable")
     wall = time.perf_counter() - start
@@ -404,7 +398,6 @@ def suggest_placement(
             seed=seed,
             trace_digest=tdigest,
             cfg_digest=cfg_digest,
-            flow_params=flow_params,
             cache=cache,
             max_workers=max_workers,
             timeout_s=timeout_s,

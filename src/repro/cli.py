@@ -16,14 +16,12 @@ Commands mirror the paper's three analysis steps plus utilities:
   FCFS(+backfill) scheduling, epoch-cached interference (repro.cluster)
 * ``nomenclature`` — print Table I
 
-Fault injection (DESIGN.md §S15) is available on every simulating
-command: ``--faults plan.json`` loads an explicit
-:class:`~repro.faults.FaultPlan`, or ``--fault-rate R`` draws a seeded
-one (``--fault-seed``) for the chosen preset's topology.
-
-``--backend flow`` switches any simulating command to the fast
-flow-level model (DESIGN.md §S16); it does not support ``--obs`` or
-fault injection.
+Each command accepts only the flags it reads (README lists them), so a
+flag it would ignore exits with status 2. Fault injection (DESIGN.md
+§S15): ``--faults plan.json`` loads a :class:`~repro.faults.FaultPlan`,
+or ``--fault-rate R`` draws a seeded one (``--fault-seed``).
+``--backend flow`` (DESIGN.md §S16) takes neither ``--obs`` nor fault
+plans; only cluster-stream fences failed routers' nodes on it.
 """
 
 from __future__ import annotations
@@ -45,13 +43,13 @@ from repro.core.report import (
 from repro.core.sensitivity import PAPER_SCALES, sensitivity_sweep
 from repro.cluster.scheduler import SCHED_POLICIES
 from repro.core.study import TradeoffStudy
-from repro.core.runner import run_single
+from repro.core.runner import check_cell_options, run_single
 from repro.exec.progress import TextReporter
 from repro.flow import BACKEND_NAMES
 from repro.mpi.dumpi import load_trace
 from repro.obs import ObsConfig, export as obs_export
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 _PRESETS = {
     "theta": cfg.theta,
@@ -61,97 +59,92 @@ _PRESETS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--preset",
-        choices=sorted(_PRESETS),
-        default="small",
-        help="machine preset (default: small)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--ranks", type=int, default=64, help="application rank count"
-    )
-    p.add_argument(
-        "--msg-scale",
-        type=float,
-        default=0.05,
-        help="scale applied to the paper's full-size message loads "
-        "(keep small on small presets)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
+#: Every option more than one command reads, defined once. A command
+#: adds only the groups it reads, so a flag it would ignore is a usage
+#: error.
+_FLAGS: dict[str, dict] = {
+    "--preset": dict(
+        choices=sorted(_PRESETS), default="small",
+        help="machine preset (default: %(default)s)",
+    ),
+    "--seed": dict(type=int, default=0),
+    "--ranks": dict(type=int, default=64, help="application rank count"),
+    "--msg-scale": dict(
+        type=float, default=0.05,
+        help="scale applied to every message size (default: %(default)s; "
+        "keep small on small presets)",
+    ),
+    "--workers": dict(
+        type=int, default=1,
         help="worker processes for grid/sweep cells (1 = serial, the "
         "default; results are identical at any worker count)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
+    ),
+    "--cache-dir": dict(
+        default=None, metavar="DIR",
         help="disk result cache; re-runs only simulate changed cells",
-    )
-    p.add_argument(
-        "--progress",
+    ),
+    "--progress": dict(
         action="store_true",
         help="print per-cell progress/ETA telemetry to stderr",
-    )
-    p.add_argument(
-        "--obs",
+    ),
+    "--backend": dict(
+        choices=BACKEND_NAMES, default="packet",
+        help="simulation model: the exact packet engine or the fast "
+        "flow-level approximation (default: %(default)s)",
+    ),
+    "--faults": dict(
+        default=None, metavar="PLAN.json",
+        help="inject the fault plan loaded from this JSON file "
+        "(see repro.faults.save_fault_plan)",
+    ),
+    "--fault-rate": dict(
+        type=float, default=0.0, metavar="R",
+        help="draw a seeded fault plan failing each local/global "
+        "channel with probability R (instead of --faults)",
+    ),
+    "--fault-seed": dict(
+        type=int, default=0, help="seed for drawn fault plans (default: 0)"
+    ),
+    "--obs": dict(
         action="store_true",
         help="record time-resolved per-link telemetry (repro.obs) on "
         "every simulated cell",
-    )
-    p.add_argument(
-        "--obs-window-ns",
-        type=float,
-        default=50_000.0,
-        metavar="NS",
+    ),
+    "--obs-window-ns": dict(
+        type=float, default=50_000.0, metavar="NS",
         help="observability sampling window in simulated ns "
         "(default: 50000)",
-    )
-    p.add_argument(
-        "--obs-out",
-        default=None,
-        metavar="DIR",
+    ),
+    "--obs-out": dict(
+        default=None, metavar="DIR",
         help="export per-cell telemetry (one file per cell) under this "
         "directory; implies --obs",
-    )
-    p.add_argument(
-        "--obs-format",
-        choices=("jsonl", "csv"),
-        default="jsonl",
+    ),
+    "--obs-format": dict(
+        choices=("jsonl", "csv"), default="jsonl",
         help="telemetry export format (default: jsonl)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="packet",
-        help="simulation model: the exact packet engine or the fast "
-        "flow-level approximation (default: packet)",
-    )
-    p.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN.json",
-        help="inject the fault plan loaded from this JSON file "
-        "(see repro.faults.save_fault_plan)",
-    )
-    p.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.0,
-        metavar="R",
-        help="draw a seeded fault plan failing each local/global "
-        "channel with probability R (ignored when --faults is given)",
-    )
-    p.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed for the drawn fault plan (default: 0)",
-    )
+    ),
+}
+MACHINE = ("--preset", "--seed")
+SCALE = ("--ranks", "--msg-scale")
+EXEC = ("--workers", "--cache-dir", "--progress")
+BACKEND = ("--backend",)
+FAULTS = ("--faults", "--fault-rate", "--fault-seed")
+OBS = ("--obs", "--obs-window-ns", "--obs-out", "--obs-format")
+
+#: ``advise`` flags only the funnel reads, with their defaults. They
+#: parse as absent unless given, so the rule table can reject them.
+_FUNNEL_DEFAULTS = dict(
+    routing="min", model=None, train_cache=None, save_model=None,
+    candidates_per_policy=1, screen_top=5, validate_top=2, exhaustive=False,
+    out=None, workers=1, cache_dir=None,
+)
+
+
+def _add_flags(p, *flags: str) -> None:
+    """Add the named shared flags to a parser or argument group."""
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def _exec_opts(args) -> dict:
@@ -165,27 +158,44 @@ def _exec_opts(args) -> dict:
 
 def _obs_config(args) -> ObsConfig | None:
     """The observability configuration implied by the CLI flags."""
-    if not (args.obs or args.obs_out):
+    if not (getattr(args, "obs", False) or getattr(args, "obs_out", None)):
         return None
     return ObsConfig(window_ns=args.obs_window_ns)
 
 
-def _fault_plan(args, config):
+def _fault_plan(parser, args, config):
     """The fault plan implied by --faults / --fault-rate, or None."""
-    if getattr(args, "faults", None):
-        from repro.faults import load_fault_plan
+    faults = getattr(args, "faults", None)
+    rate = getattr(args, "fault_rate", 0.0)
+    if faults and rate > 0.0:
+        parser.error("--faults and --fault-rate are alternatives; give one")
+    try:
+        if faults:
+            from repro.faults import load_fault_plan
 
-        return load_fault_plan(args.faults)
-    if getattr(args, "fault_rate", 0.0) > 0.0:
-        from repro.core.runner import build_topology
-        from repro.faults import random_fault_plan
+            return load_fault_plan(faults)
+        if rate > 0.0:
+            from repro.core.runner import build_topology
+            from repro.faults import random_fault_plan
 
-        return random_fault_plan(
-            build_topology(config.topology),
-            args.fault_rate,
-            seed=args.fault_seed,
-        )
+            return random_fault_plan(
+                build_topology(config.topology), rate, seed=args.fault_seed
+            )
+    except (OSError, ValueError) as exc:
+        parser.error(f"fault plan: {exc}")
     return None
+
+
+def _check_advise_mode(parser, args) -> None:
+    """Reject the other advise mode's flags, then fill funnel defaults."""
+    if args.funnel and (args.shared or args.bursty):
+        parser.error("--shared/--bursty tune the rule table, not --funnel")
+    given = [dest for dest in _FUNNEL_DEFAULTS if dest in vars(args)]
+    if given and not args.funnel:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+        parser.error(f"without --funnel, advise does not read {flags}")
+    for dest, default in _FUNNEL_DEFAULTS.items():
+        vars(args).setdefault(dest, default)
 
 
 def _export_study_obs(result, args) -> None:
@@ -211,36 +221,38 @@ def _build_trace(args):
     return trace
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; each subcommand accepts only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="dragonfly-tradeoff",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    apps = sorted(APP_BUILDERS)
 
     p_study = sub.add_parser("study", help="placement x routing grid")
-    p_study.add_argument("app", choices=sorted(APP_BUILDERS))
-    _add_common(p_study)
+    p_study.add_argument("app", choices=apps)
+    _add_flags(p_study, *MACHINE, *SCALE, *EXEC, *BACKEND, *FAULTS, *OBS)
 
     p_sens = sub.add_parser("sensitivity", help="message-size sweep")
-    p_sens.add_argument("app", choices=sorted(APP_BUILDERS))
-    _add_common(p_sens)
+    p_sens.add_argument("app", choices=apps)
+    _add_flags(p_sens, *MACHINE, *SCALE, *EXEC, *BACKEND, *FAULTS)
 
     p_intf = sub.add_parser("interference", help="background-traffic study")
-    p_intf.add_argument("app", choices=sorted(APP_BUILDERS))
+    p_intf.add_argument("app", choices=apps)
     p_intf.add_argument(
         "--pattern", choices=("uniform", "bursty"), default="uniform"
     )
     p_intf.add_argument("--bg-bytes", type=int, default=4096)
     p_intf.add_argument("--bg-interval-us", type=float, default=5.0)
     p_intf.add_argument("--bg-fanout", type=int, default=None)
-    _add_common(p_intf)
+    _add_flags(p_intf, *MACHINE, *SCALE, *EXEC, *BACKEND, *FAULTS, *OBS)
 
     p_res = sub.add_parser(
-        "resilience", help="failure-rate sweep over the grid"
+        "resilience", help="failure-rate sweep over the grid (packet backend)"
     )
-    p_res.add_argument("app", choices=sorted(APP_BUILDERS))
+    p_res.add_argument("app", choices=apps)
     p_res.add_argument(
         "--rates",
         default="0.02,0.05,0.1",
@@ -261,19 +273,19 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH.json",
         help="write the full per-cell degradation summary as JSON",
     )
-    _add_common(p_res)
+    _add_flags(p_res, *MACHINE, *SCALE, *EXEC, "--fault-seed")
 
     p_fid = sub.add_parser(
         "fidelity", help="flow-vs-packet cross-fidelity check"
     )
-    p_fid.add_argument("app", choices=sorted(APP_BUILDERS))
+    p_fid.add_argument("app", choices=apps)
     p_fid.add_argument(
         "--out",
         default=None,
         metavar="PATH.json",
         help="write the repro-fidelity/v1 report as JSON",
     )
-    _add_common(p_fid)
+    _add_flags(p_fid, *MACHINE, *SCALE, *EXEC)
 
     p_replay = sub.add_parser(
         "replay",
@@ -287,7 +299,8 @@ def main(argv: list[str] | None = None) -> int:
         help="rank count for bare-list JSON comms traces without a "
         "num_ranks header",
     )
-    _add_common(p_replay)
+    _add_flags(p_replay, *MACHINE, "--msg-scale", *BACKEND, *FAULTS, *OBS)
+    p_replay.set_defaults(msg_scale=1.0)
 
     p_tt = sub.add_parser(
         "training-tradeoff",
@@ -313,16 +326,16 @@ def main(argv: list[str] | None = None) -> int:
         "--out", default=None, metavar="PATH.json",
         help="write the repro-mlcomms/v1 report as JSON",
     )
-    _add_common(p_tt)
+    _add_flags(p_tt, *MACHINE, *SCALE, *EXEC, *BACKEND)
 
     p_char = sub.add_parser("characterize", help="trace characterisation")
-    p_char.add_argument("app", choices=sorted(APP_BUILDERS))
-    _add_common(p_char)
+    p_char.add_argument("app", choices=apps)
+    _add_flags(p_char, "--seed", *SCALE)
 
     p_adv = sub.add_parser(
         "advise", help="recommend a placement/routing configuration"
     )
-    p_adv.add_argument("app", choices=sorted(APP_BUILDERS))
+    p_adv.add_argument("app", choices=apps)
     p_adv.add_argument(
         "--shared", action="store_true", help="network shared with other jobs"
     )
@@ -337,57 +350,58 @@ def main(argv: list[str] | None = None) -> int:
         help="run the three-tier advisor funnel (surrogate rank -> "
         "flow screen -> packet validate) instead of the rule table",
     )
-    p_adv.add_argument(
-        "--routing", choices=("min", "adp"), default="min",
+    _add_flags(p_adv, *MACHINE, *SCALE)
+    funnel = p_adv.add_argument_group(
+        "funnel options (only with --funnel)",
+        argument_default=argparse.SUPPRESS,
+    )
+    funnel.add_argument(
+        "--routing", choices=("min", "adp"),
         help="routing policy the funnel optimises for (default: min)",
     )
-    p_adv.add_argument(
-        "--model", default=None, metavar="MODEL.json",
+    funnel.add_argument(
+        "--model", metavar="MODEL.json",
         help="load a fitted repro-advisor-model/v1 surrogate",
     )
-    p_adv.add_argument(
-        "--train-cache", default=None, metavar="DIR",
+    funnel.add_argument(
+        "--train-cache", metavar="DIR",
         help="train the surrogate on the RunResults in this exec cache "
         "(built-in app traces at the current --ranks/--msg-scale)",
     )
-    p_adv.add_argument(
-        "--save-model", default=None, metavar="MODEL.json",
+    funnel.add_argument(
+        "--save-model", metavar="MODEL.json",
         help="save the (loaded or trained) surrogate as versioned JSON",
     )
-    p_adv.add_argument(
-        "--candidates-per-policy", type=int, default=1, metavar="N",
+    funnel.add_argument(
+        "--candidates-per-policy", type=int, metavar="N",
         help="seeded allocation draws per placement policy (default: 1 "
         "— the paper's 5-policy grid)",
     )
-    p_adv.add_argument(
-        "--screen-top", type=int, default=5, metavar="N",
+    funnel.add_argument(
+        "--screen-top", type=int, metavar="N",
         help="candidates the flow backend screens (default: 5)",
     )
-    p_adv.add_argument(
-        "--validate-top", type=int, default=2, metavar="N",
+    funnel.add_argument(
+        "--validate-top", type=int, metavar="N",
         help="candidates the packet backend validates (default: 2; "
         "0 recommends the flow winner directly)",
     )
-    p_adv.add_argument(
+    funnel.add_argument(
         "--exhaustive", action="store_true",
         help="also flow-screen every candidate and report whether the "
         "funnel found the exhaustive optimum",
     )
-    p_adv.add_argument(
-        "--out", default=None, metavar="PATH.json",
+    funnel.add_argument(
+        "--out", metavar="PATH.json",
         help="write the repro-advisor-funnel/v1 report as JSON",
     )
-    _add_common(p_adv)
+    for flag in ("--workers", "--cache-dir"):
+        funnel.add_argument(flag, **{**_FLAGS[flag], "default": argparse.SUPPRESS})
 
     p_cs = sub.add_parser(
         "cluster-stream",
         help="online cluster scenario over simulated hours (repro.cluster)",
     )
-    p_cs.add_argument(
-        "--preset", choices=sorted(_PRESETS), default="tiny",
-        help="machine preset (default: tiny)",
-    )
-    p_cs.add_argument("--seed", type=int, default=0)
     p_cs.add_argument(
         "--duration", type=float, default=2.0, metavar="HOURS",
         help="simulated arrival window in hours (default: 2); the "
@@ -417,10 +431,6 @@ def main(argv: list[str] | None = None) -> int:
         help="stream-wide routing policy (default: adp)",
     )
     p_cs.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="flow",
-        help="network model for epoch cells (default: flow)",
-    )
-    p_cs.add_argument(
         "--backfill", action="store_true",
         help="let later queued jobs start when the head does not fit",
     )
@@ -429,45 +439,57 @@ def main(argv: list[str] | None = None) -> int:
         help="spot-check every K-th flow epoch on the packet backend "
         "(0 = off)",
     )
-    p_cs.add_argument("--workers", type=int, default=1)
-    p_cs.add_argument("--cache-dir", default=None, metavar="DIR")
-    p_cs.add_argument("--progress", action="store_true")
-    p_cs.add_argument("--faults", default=None, metavar="PLAN.json")
-    p_cs.add_argument("--fault-rate", type=float, default=0.0, metavar="R")
-    p_cs.add_argument("--fault-seed", type=int, default=0)
     p_cs.add_argument(
         "--out", default=None, metavar="PATH.json",
         help="write the repro-cluster-stream/v1 document as JSON",
     )
+    _add_flags(p_cs, *MACHINE, *EXEC, *BACKEND, *FAULTS)
+    p_cs.set_defaults(preset="tiny", backend="flow")
 
     sub.add_parser("nomenclature", help="print Table I")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "nomenclature":
         print(nomenclature_table())
         return 0
 
-    config = _PRESETS[args.preset]().with_seed(args.seed)
+    if args.command == "characterize":
+        trace = _build_trace(args)
+        mat = trace.communication_matrix()
+        nz = mat[mat > 0]
+        print(f"{args.app}: {trace.num_ranks} ranks")
+        print(f"  messages:          {trace.num_messages()}")
+        print(f"  total bytes:       {trace.total_bytes():,}")
+        print(f"  avg load per rank: {trace.avg_message_load_per_rank():,.0f} B")
+        print(f"  partner pairs:     {int((mat > 0).sum())}")
+        if nz.size:
+            print(f"  pair bytes min/med/max: {nz.min():,} / "
+                  f"{int(float(sorted(nz)[len(nz) // 2])):,} / {nz.max():,}")
+        return 0
 
-    if (
-        getattr(args, "backend", "packet") == "flow"
-        and args.command != "cluster-stream"
-    ):
-        # cluster-stream is exempt: it supports router-fault fencing on
-        # the flow backend (run_stream validates the rest itself).
-        if args.obs or args.obs_out:
-            parser.error("--backend flow does not support --obs telemetry")
-        if args.faults or args.fault_rate > 0.0:
-            parser.error("--backend flow does not support fault injection")
-        if args.command == "resilience":
-            parser.error("resilience requires the packet backend")
+    config = _PRESETS[args.preset]().with_seed(args.seed)
+    obs = _obs_config(args)
+    faults = _fault_plan(parser, args, config)
+    # cluster-stream is exempt: it fences router faults on the flow
+    # backend, and run_stream checks the rest itself.
+    if "backend" in vars(args) and args.command != "cluster-stream":
+        try:
+            check_cell_options(args.backend, obs, faults)
+        except ValueError as exc:
+            parser.error(str(exc))
+    if args.command == "advise":
+        _check_advise_mode(parser, args)
 
     if args.command == "study":
         trace = _build_trace(args)
         result = TradeoffStudy(
-            config, {args.app: trace}, seed=args.seed, obs=_obs_config(args),
-            faults=_fault_plan(args, config), backend=args.backend,
+            config, {args.app: trace}, seed=args.seed, obs=obs,
+            faults=faults, backend=args.backend,
         ).run(verbose=True, **_exec_opts(args))
         _export_study_obs(result, args)
         print()
@@ -493,9 +515,8 @@ def main(argv: list[str] | None = None) -> int:
         trace = _build_trace(args)
         scales = PAPER_SCALES[args.app]
         sens = sensitivity_sweep(
-            config, trace, scales, seed=args.seed, obs=_obs_config(args),
-            faults=_fault_plan(args, config), backend=args.backend,
-            **_exec_opts(args),
+            config, trace, scales, seed=args.seed, faults=faults,
+            backend=args.backend, **_exec_opts(args),
         )
         rel = sens.relative()
         print(
@@ -516,9 +537,8 @@ def main(argv: list[str] | None = None) -> int:
             fanout=args.bg_fanout,
         )
         result = interference_study(
-            config, trace, spec, seed=args.seed, obs=_obs_config(args),
-            faults=_fault_plan(args, config), backend=args.backend,
-            **_exec_opts(args),
+            config, trace, spec, seed=args.seed, obs=obs, faults=faults,
+            backend=args.backend, **_exec_opts(args),
         )
         _export_study_obs(result, args)
         print(
@@ -545,7 +565,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             fault_seed=args.fault_seed,
             router_rate=args.router_rate,
-            obs=_obs_config(args),
             **_exec_opts(args),
         )
         print(f"{args.app} communication-time degradation vs healthy (%)")
@@ -641,10 +660,11 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(str(exc))
         else:
             trace = load_trace(args.trace_file)
+        if args.msg_scale != 1.0:
+            trace = trace.scaled(args.msg_scale)
         result = run_single(
             config, trace, args.placement, args.routing, seed=args.seed,
-            obs=_obs_config(args), faults=_fault_plan(args, config),
-            backend=args.backend,
+            obs=obs, faults=faults, backend=args.backend,
         )
         s = result.metrics.summary()
         for k, v in s.items():
@@ -683,7 +703,7 @@ def main(argv: list[str] | None = None) -> int:
                 cache=args.cache_dir,
                 progress=TextReporter() if args.progress else None,
                 validate_every=args.validate_every,
-                faults=_fault_plan(args, config),
+                faults=faults,
                 surrogate_model=surrogate_model,
             )
         except ValueError as exc:
@@ -763,20 +783,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  offered rate: {rec.intensity:.4f}x of one local link")
         for reason in rec.rationale:
             print(f"  - {reason}")
-        return 0
-
-    if args.command == "characterize":
-        trace = _build_trace(args)
-        mat = trace.communication_matrix()
-        nz = mat[mat > 0]
-        print(f"{args.app}: {trace.num_ranks} ranks")
-        print(f"  messages:          {trace.num_messages()}")
-        print(f"  total bytes:       {trace.total_bytes():,}")
-        print(f"  avg load per rank: {trace.avg_message_load_per_rank():,.0f} B")
-        print(f"  partner pairs:     {int((mat > 0).sum())}")
-        if nz.size:
-            print(f"  pair bytes min/med/max: {nz.min():,} / "
-                  f"{int(float(sorted(nz)[len(nz) // 2])):,} / {nz.max():,}")
         return 0
 
     parser.error(f"unhandled command {args.command}")

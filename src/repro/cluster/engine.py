@@ -73,6 +73,7 @@ from repro.metrics.collector import RunMetrics
 from repro.mpi.replay import JobResult
 from repro.mpi.trace import JobTrace, RankTrace
 from repro.placement.machine import Machine
+from repro.routing import make_routing
 
 __all__ = ["EpochSpec", "merge_epoch_trace", "run_stream", "simulate_epoch"]
 
@@ -155,7 +156,6 @@ def simulate_epoch(
         compute_scale=spec.compute_scale,
         faults=spec.faults,
         backend=spec.backend,
-        flow_params=spec.flow_params,
         flow_fabric=FlowFabric,
     )
     engine = cell.engine
@@ -297,6 +297,7 @@ def run_stream(
     if isinstance(cache, str):
         cache = ResultCache(cache)
     check_cell_options(backend)
+    make_routing(routing)  # an unknown name fails here, not in every epoch
     if jobs is not None:
         dup = sorted(i for i, n in Counter(j.id for j in jobs).items() if n > 1)
         if dup:

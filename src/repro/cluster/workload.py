@@ -5,8 +5,8 @@ drawn from a :class:`WorkloadMix` — a weighted set of
 :class:`JobClass` templates (CR/FB/AMG and the synthetic patterns from
 :data:`repro.apps.APP_BUILDERS`), each with its own rank-count,
 message-intensity, and target-runtime distributions. Interarrival
-times are Poisson (exponential gaps sized from the offered ``load``)
-or trace-driven (an explicit gap sequence).
+times are Poisson (exponential gaps sized from the offered ``load``);
+trace-driven arrivals are explicit jobs handed to ``run_stream(jobs=)``.
 
 Everything is deterministic from the stream seed: the same
 ``(mix, duration, load, machine, seed)`` always yields byte-identical
@@ -18,7 +18,6 @@ cache — a warm re-run of a stream simulates nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.apps import APP_BUILDERS
 from repro.engine.rng import rng_stream
@@ -211,8 +210,6 @@ def generate_stream(
     load: float,
     num_nodes: int,
     seed: int = 0,
-    interarrivals_s: Iterable[float] | None = None,
-    max_jobs: int | None = None,
 ) -> list[StreamJob]:
     """Draw the deterministic job stream for one scenario.
 
@@ -221,19 +218,18 @@ def generate_stream(
     demand (rate x mean ranks x mean service) equals ``load x
     num_nodes``. Actual utilisation also depends on queueing and
     interference, so treat it as an offered load, not a guarantee.
+    For trace-driven arrivals, build the jobs and pass them to
+    :func:`~repro.cluster.engine.run_stream` as ``jobs``.
 
-    ``interarrivals_s`` switches to trace-driven arrivals: the gaps are
-    consumed verbatim (``load`` is then ignored) until ``duration_s``
-    is exhausted. Rank choices larger than half the machine are
-    dropped from each class's choice set (a job that monopolises the
-    machine serialises the stream); a class with no feasible size
-    raises.
+    Rank choices larger than half the machine are dropped from each
+    class's choice set (a job that monopolises the machine serialises
+    the stream); a class with no feasible size raises.
     """
     if isinstance(mix, str):
         mix = WorkloadMix.parse(mix)
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
-    if interarrivals_s is None and load <= 0:
+    if load <= 0:
         raise ValueError("load must be positive for Poisson arrivals")
     if num_nodes < 1:
         raise ValueError("num_nodes must be positive")
@@ -249,30 +245,16 @@ def generate_stream(
             )
         feasible[c.app] = sizes
 
-    gaps: Iterable[float] | None = None
-    if interarrivals_s is not None:
-        gaps = iter(interarrivals_s)
-        mean_gap = 0.0
-    else:
-        # load * num_nodes = rate * E[ranks] * E[service]  (Little's law)
-        rate = load * num_nodes / (mix.mean_ranks * mix.mean_service_s)
-        mean_gap = 1.0 / rate
+    # load * num_nodes = rate * E[ranks] * E[service]  (Little's law)
+    rate = load * num_nodes / (mix.mean_ranks * mix.mean_service_s)
+    mean_gap = 1.0 / rate
 
     rng = rng_stream(seed, "cluster", "stream")
     weights = [c.weight / mix.total_weight for c in mix.classes]
     jobs: list[StreamJob] = []
     t = 0.0
-    while max_jobs is None or len(jobs) < max_jobs:
-        if gaps is not None:
-            try:
-                gap = float(next(gaps))  # type: ignore[arg-type]
-            except StopIteration:
-                break
-            if gap < 0:
-                raise ValueError("interarrival gaps must be non-negative")
-        else:
-            gap = float(rng.exponential(mean_gap))
-        t += gap
+    while True:
+        t += float(rng.exponential(mean_gap))
         if t > duration_s:
             break
         ci = int(rng.choice(len(mix.classes), p=weights))

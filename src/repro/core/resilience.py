@@ -135,12 +135,10 @@ def resilience_study(
     seed: int = 0,
     fault_seed: int = 0,
     router_rate: float = 0.0,
-    degraded_fraction: float = 0.0,
     compute_scale: float = 0.0,
     max_workers: int = 1,
     cache_dir=None,
     progress=None,
-    obs=None,
 ) -> ResilienceResult:
     """Sweep failure rate over the placement x routing grid.
 
@@ -166,11 +164,7 @@ def resilience_study(
         plan = None
         if rate > 0.0:
             plan = random_fault_plan(
-                topo,
-                rate,
-                seed=fault_seed,
-                router_rate=router_rate,
-                degraded_fraction=degraded_fraction,
+                topo, rate, seed=fault_seed, router_rate=router_rate
             )
         plans[rate] = plan
         studies[rate] = TradeoffStudy(
@@ -180,7 +174,6 @@ def resilience_study(
             routings=routings,
             seed=seed,
             compute_scale=compute_scale,
-            obs=obs,
             faults=plan,
         ).run(
             max_workers=max_workers, cache_dir=cache_dir, progress=progress

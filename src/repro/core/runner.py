@@ -78,9 +78,7 @@ class RunResult:
         return f"{self.placement}-{self.routing}"
 
 
-def check_cell_options(
-    backend: str = "packet", obs=None, faults=None, flow_params=None
-) -> None:
+def check_cell_options(backend: str = "packet", obs=None, faults=None) -> None:
     """Reject a backend/option combination no cell can run.
 
     :func:`assemble` calls this for every cell; the plan builders call
@@ -89,8 +87,6 @@ def check_cell_options(
     """
     if backend not in ("packet", "flow"):
         raise ValueError(f"unknown backend {backend!r}")
-    if flow_params is not None and backend != "flow":
-        raise ValueError("flow_params is only meaningful with backend='flow'")
     if backend == "flow":
         if obs is not None:
             raise ValueError(
@@ -140,7 +136,6 @@ def assemble(
     obs: ObsConfig | None = None,
     faults=None,
     backend: str = "packet",
-    flow_params=None,
     flow_fabric=None,
 ) -> Cell:
     """Wire one simulation cell; the caller adds jobs and runs the engine.
@@ -155,7 +150,7 @@ def assemble(
     Flow cells build ``flow_fabric`` (a fabric class), by default
     :class:`~repro.flow.fabric_array.ArrayFlowFabric`.
     """
-    check_cell_options(backend, obs, faults, flow_params)
+    check_cell_options(backend, obs, faults)
     topo = build_topology(config.topology)
     fault_plan = None
     if faults is not None and not faults.is_empty():
@@ -169,7 +164,7 @@ def assemble(
             from repro.flow.fabric_array import ArrayFlowFabric
 
             flow_fabric = ArrayFlowFabric
-        fabric = flow_fabric(sim, topo, config.network, routing, flow_params)
+        fabric = flow_fabric(sim, topo, config.network, routing)
     else:
         if fault_plan is not None:
             from repro.faults.routing import make_fault_aware_routing
@@ -204,7 +199,6 @@ def run_single(
     obs: ObsConfig | None = None,
     faults=None,
     backend: str = "packet",
-    flow_params=None,
 ) -> RunResult:
     """Simulate one application under one placement/routing combination.
 
@@ -233,12 +227,6 @@ def run_single(
     magnitude faster, emitting the same metric set. The backend changes
     results, so it is part of the exec cache identity. The flow backend
     does not support ``obs`` or fault injection.
-
-    ``flow_params`` is an optional
-    :class:`~repro.flow.routes.FlowParams` overriding the flow
-    backend's model knobs (epoch coalescing, spill emulation, Valiant
-    budget); non-default values are part of the exec cache identity.
-    Only meaningful with ``backend="flow"``.
     """
     wall_start = time.perf_counter()
     if seed is None:
@@ -252,7 +240,6 @@ def run_single(
         obs=obs,
         faults=faults,
         backend=backend,
-        flow_params=flow_params,
     )
     machine = Machine(config.topology)
     dead_nodes = cell.faults.dead_nodes(cell.topo) if cell.faults is not None else []

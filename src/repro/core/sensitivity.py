@@ -45,15 +45,11 @@ class SensitivityResult:
         scales: tuple[float, ...],
         max_comm_ns: dict[str, np.ndarray],
         baseline: str,
-        obs: dict[tuple[str, str], object] | None = None,
     ) -> None:
         self.app = app
         self.scales = scales
         self.max_comm_ns = max_comm_ns
         self.baseline = baseline
-        #: ``(scaled-app key, "placement-routing") -> TimeSeriesMetrics``
-        #: when the sweep ran with observability enabled, else ``None``.
-        self.obs = obs
 
     def labels(self) -> list[str]:
         return list(self.max_comm_ns)
@@ -86,7 +82,6 @@ def sensitivity_sweep(
     max_workers: int = 1,
     cache_dir=None,
     progress=None,
-    obs=None,
     faults=None,
     backend: str = "packet",
 ) -> SensitivityResult:
@@ -94,9 +89,7 @@ def sensitivity_sweep(
 
     ``max_workers``/``cache_dir``/``progress`` are forwarded to
     :func:`repro.exec.pool.execute_plan`; the serial default is
-    unchanged from the historical loop. ``obs`` (an
-    :class:`~repro.obs.recorder.ObsConfig`) enables per-cell
-    time-resolved telemetry, exposed via ``SensitivityResult.obs``.
+    unchanged from the historical loop.
     """
     if not scales:
         raise ValueError("need at least one scale")
@@ -105,7 +98,7 @@ def sensitivity_sweep(
 
     plan = plan_sensitivity(
         config, trace, scales, configs, seed=seed, compute_scale=compute_scale,
-        obs=obs, faults=faults, backend=backend,
+        faults=faults, backend=backend,
     )
     report = execute_plan(
         plan,
@@ -117,16 +110,12 @@ def sensitivity_sweep(
     # Plan order is scale-major then config, so per-label appends land
     # in scale order exactly as the serial loop produced them.
     series: dict[str, list[float]] = {f"{p}-{r}": [] for p, r in configs}
-    obs_map: dict[tuple[str, str], object] = {}
     for spec, outcome in zip(plan.specs, report.outcomes):
         series[spec.label].append(outcome.result.metrics.max_comm_time_ns)
-        if outcome.result.obs is not None:
-            obs_map[(spec.app, spec.label)] = outcome.result.obs
 
     return SensitivityResult(
         trace.name,
         tuple(scales),
         {k: np.asarray(v) for k, v in series.items()},
         baseline=f"{baseline[0]}-{baseline[1]}",
-        obs=obs_map or None,
     )

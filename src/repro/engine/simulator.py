@@ -84,13 +84,8 @@ class Simulator:
             )
         self._push((time, seq, fn, args))
 
-    def add_heartbeat(
-        self,
-        interval: float,
-        fn: Callable[[float], None],
-        start: float | None = None,
-    ) -> None:
-        """Call ``fn(t)`` at ``t = start, start+interval, ...`` during :meth:`run`.
+    def add_heartbeat(self, interval: float, fn: Callable[[float], None]) -> None:
+        """Call ``fn(t)`` at ``t = now+interval, now+2*interval, ...`` during :meth:`run`.
 
         Heartbeats are the periodic-sampling hook used by the
         observability layer: they fire at exact times regardless of
@@ -103,11 +98,7 @@ class Simulator:
         """
         if interval <= 0:
             raise ValueError(f"heartbeat interval must be positive (got {interval})")
-        first = self.now + interval if start is None else start
-        if first < self.now:
-            raise ValueError(
-                f"heartbeat cannot start at {first} before current time {self.now}"
-            )
+        first = self.now + interval
         self._heartbeats.append([first, interval, fn])
         if first < self._hb_next:
             self._hb_next = first

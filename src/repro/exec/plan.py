@@ -28,6 +28,8 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 from repro.config import SimulationConfig
 from repro.core.runner import check_cell_options
 from repro.mpi.trace import JobTrace
+from repro.placement.policies import make_placement
+from repro.routing import make_routing
 
 __all__ = [
     "CODE_SALT",
@@ -60,11 +62,13 @@ __all__ = [
 #: ~1e-12, so cached flow results may shift in the last bits) and the
 #: fabric wake re-arm gained the one-ulp collapse guard; v7 = the array
 #: flow fabric became the fabric of ``run_single`` flow cells and specs
-#: grew a ``flow_params`` field (``None``/default normalise to the
-#: pre-v7 payload shape). Epoch cells stay on the object fabric; object
-#: and array results are not always last-bit close: a one-ulp shift can
-#: change event order, and one seed-1 stream epoch cell moves a job's
-#: makespan by 1.5e-5 relative between them (DESIGN.md §14);
+#: grew a flow-model parameters field that entered the payload only at
+#: non-default values (since removed with those parameters, which
+#: leaves every default key unchanged). Epoch cells stay on the object
+#: fabric; object and array results are not always last-bit close: a
+#: one-ulp shift can change event order, and one seed-1 stream epoch
+#: cell moves a job's makespan by 1.5e-5 relative between them
+#: (DESIGN.md §14);
 #: v8 = repro.mlcomms (the DL training app family: new collective
 #: expansions and app names share the cache namespace, so the bump
 #: keeps any pre-training-era cache from ever colliding with the new
@@ -177,16 +181,6 @@ class RunSpec:
     faults: Any = None
     backend: str = "packet"
     epoch: Any = None
-    #: Optional :class:`~repro.flow.routes.FlowParams` for flow cells.
-    #: Part of the identity hash when it differs from the defaults —
-    #: model knobs change results. ``None`` and the default params
-    #: normalise to the same key, and packet cells always hash it as
-    #: ``None``, so existing plans keep their keys. Epoch cells with
-    #: non-default params also hash an ``epoch_fabric`` marker: before
-    #: :func:`~repro.cluster.engine.simulate_epoch` passed the params to
-    #: its fabric, such cells were simulated with the defaults, and the
-    #: marker keeps those cached results from being served.
-    flow_params: Any = None
 
     @property
     def label(self) -> str:
@@ -222,16 +216,6 @@ class RunSpec:
             if dataclasses.is_dataclass(self.epoch)
             else self.epoch
         )
-        flow_params = None
-        if self.flow_params is not None and self.backend == "flow":
-            # Imported lazily: repro.flow's package import reaches back
-            # into repro.exec at module-import time.
-            from repro.flow.routes import FlowParams
-
-            if self.flow_params != FlowParams():
-                flow_params = dataclasses.asdict(self.flow_params)
-                if self.epoch is not None:
-                    flow_params["epoch_fabric"] = True
         payload = json.dumps(
             {
                 "salt": CODE_SALT,
@@ -250,7 +234,6 @@ class RunSpec:
                 "faults": faults,
                 "backend": self.backend,
                 "epoch": epoch,
-                **({"flow_params": flow_params} if flow_params else {}),
             },
             sort_keys=True,
         )
@@ -281,6 +264,20 @@ class ExperimentPlan:
         return [spec.key for spec in self.specs]
 
 
+def _check_names(placements: Iterable[str], routings: Iterable[str]) -> None:
+    """Resolve every placement and routing name once.
+
+    An unknown name raises the :class:`ValueError` of
+    :func:`~repro.placement.policies.make_placement` or
+    :func:`~repro.routing.make_routing`, which names the bad value, so a
+    typo fails before any cell is planned.
+    """
+    for name in placements:
+        make_placement(name)
+    for name in routings:
+        make_routing(name)
+
+
 def plan_grid(
     config: SimulationConfig,
     traces: Mapping[str, JobTrace],
@@ -298,10 +295,12 @@ def plan_grid(
     """Enumerate the placement x routing grid (paper Sections IV-A/IV-C).
 
     Cell order is app-major then placement then routing — exactly the
-    serial ``TradeoffStudy.run`` loop nest. A backend/option combination
-    no cell can run raises :class:`ValueError` here, before planning.
+    serial ``TradeoffStudy.run`` loop nest. An unknown placement or
+    routing name, or a backend/option combination no cell can run,
+    raises :class:`ValueError` here, before planning.
     """
     check_cell_options(backend, obs, faults)
+    _check_names(placements, routings)
     cfg_digest = config_digest(config)
     fingerprints = {app: trace_fingerprint(t) for app, t in traces.items()}
     specs = tuple(
@@ -335,7 +334,6 @@ def plan_sensitivity(
     seed: int = 0,
     compute_scale: float = 0.0,
     max_events: int | None = DEFAULT_MAX_EVENTS,
-    obs: Any = None,
     faults: Any = None,
     backend: str = "packet",
 ) -> ExperimentPlan:
@@ -346,7 +344,8 @@ def plan_sensitivity(
     matching the serial ``sensitivity_sweep`` loop nest. Options are
     checked as in :func:`plan_grid`.
     """
-    check_cell_options(backend, obs, faults)
+    check_cell_options(backend, faults=faults)
+    _check_names((p for p, _ in configs), (r for _, r in configs))
     cfg_digest = config_digest(config)
     specs: list[RunSpec] = []
     traces: dict[str, JobTrace] = {}
@@ -367,7 +366,6 @@ def plan_sensitivity(
                     compute_scale=compute_scale,
                     max_events=max_events,
                     tags=(f"scale={scale:g}",),
-                    obs=obs,
                     faults=faults,
                     backend=backend,
                 )

@@ -82,7 +82,6 @@ def simulate_spec(
         obs=spec.obs,
         faults=getattr(spec, "faults", None),
         backend=getattr(spec, "backend", "packet"),
-        flow_params=getattr(spec, "flow_params", None),
     )
 
 

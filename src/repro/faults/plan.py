@@ -337,18 +337,14 @@ def random_fault_plan(
     rate: float,
     seed: int = 0,
     router_rate: float = 0.0,
-    degraded_fraction: float = 0.0,
-    onset_window_ns: float = 0.0,
 ) -> FaultPlan:
     """Draw a seeded fault plan at a per-channel failure ``rate``.
 
     Each undirected local/global channel fails independently with
     probability ``rate`` (both directed links fault together, as a cable
-    cut would); each router fails with probability ``router_rate``. A
-    failed channel is dead unless a ``degraded_fraction`` coin flip
-    turns it into a bandwidth degradation (scale drawn from
-    ``[0.25, 0.75)``). With ``onset_window_ns > 0`` dead-link onsets are
-    spread uniformly over that window instead of all landing at t=0.
+    cut would); each router fails with probability ``router_rate``.
+    Every drawn fault is fail-stop at t=0: degraded links and later
+    onsets come from hand-written plans (:func:`load_fault_plan`).
 
     **Connectivity guard:** any sampled fault whose (eventual) removal
     would disconnect the live router graph is skipped, so the plan can
@@ -359,12 +355,6 @@ def random_fault_plan(
         raise FaultPlanError(f"rate must be in [0, 1], got {rate}")
     if not 0.0 <= router_rate <= 1.0:
         raise FaultPlanError(f"router_rate must be in [0, 1], got {router_rate}")
-    if not 0.0 <= degraded_fraction <= 1.0:
-        raise FaultPlanError(
-            f"degraded_fraction must be in [0, 1], got {degraded_fraction}"
-        )
-    if onset_window_ns < 0.0:
-        raise FaultPlanError(f"onset_window_ns must be >= 0, got {onset_window_ns}")
 
     rng = rng_stream(
         seed, "faults", f"rate={rate:g}", f"router_rate={router_rate:g}"
@@ -397,25 +387,12 @@ def random_fault_plan(
                 continue
             if src[fwd] in dead_routers or dst[fwd] in dead_routers:
                 continue  # already dead via the router fault
-            degraded = (
-                degraded_fraction > 0.0 and rng.random() < degraded_fraction
-            )
-            if degraded:
-                scale = 0.25 + 0.5 * float(rng.random())
-                link_faults.append(LinkFault(fwd, 0.0, scale))
-                link_faults.append(LinkFault(rev, 0.0, scale))
-                continue
             graph.remove_edge(fwd)
             if not graph.connected():
                 graph.restore_edge(fwd)
                 continue
-            onset = (
-                float(rng.random()) * onset_window_ns
-                if onset_window_ns > 0.0
-                else 0.0
-            )
-            link_faults.append(LinkFault(fwd, onset, 0.0))
-            link_faults.append(LinkFault(rev, onset, 0.0))
+            link_faults.append(LinkFault(fwd))
+            link_faults.append(LinkFault(rev))
 
     return FaultPlan(
         link_faults=tuple(link_faults),

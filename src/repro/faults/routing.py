@@ -26,7 +26,13 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.routing.adaptive import AdaptiveRouting
+from repro.routing.adaptive import (
+    MINIMAL_BIAS_NS,
+    MINIMAL_CANDIDATES,
+    NONMINIMAL_CANDIDATES,
+    NONMINIMAL_WEIGHT,
+    AdaptiveRouting,
+)
 from repro.routing.minimal import MinimalRouting
 from repro.routing.paths import valiant_route
 from repro.routing.tables import RouteTables, route_tables
@@ -78,7 +84,7 @@ class DegradedTables:
                 return False
         return True
 
-    def minimal(self, r1: int, r2: int, limit: int = 8) -> tuple[Path, ...]:
+    def minimal(self, r1: int, r2: int) -> tuple[Path, ...]:
         """Minimum-hop live routes r1 -> r2 on the degraded topology."""
         key = (r1, r2)
         cached = self._minimal.get(key)
@@ -87,7 +93,7 @@ class DegradedTables:
         down = self._down
         survivors = tuple(
             path
-            for path in self.healthy.minimal(r1, r2, limit)
+            for path in self.healthy.minimal(r1, r2)
             if all(not down[lid] for lid in path)
         )
         if not survivors:
@@ -157,8 +163,8 @@ class FaultAwareMinimalRouting(MinimalRouting):
     cache tags line up with the healthy policy.
     """
 
-    def __init__(self, seed: int = 0, max_candidates: int = 8) -> None:
-        super().__init__(seed=seed, max_candidates=max_candidates)
+    def __init__(self, seed: int = 0) -> None:
+        super().__init__(seed=seed)
         self._degraded: DegradedTables | None = None
         self._epoch = -1
 
@@ -175,9 +181,7 @@ class FaultAwareMinimalRouting(MinimalRouting):
     ) -> list[int]:
         topo = fabric.topo
         dst_router = topo._node_router[dst_node]
-        routes = self._tables_for(fabric).minimal(
-            src_router, dst_router, self.max_candidates
-        )
+        routes = self._tables_for(fabric).minimal(src_router, dst_router)
         n = len(routes)
         # randrange(n) delegates to the same _randbelow(n) draw the
         # healthy policy makes, so pick sequences stay aligned.
@@ -196,8 +200,8 @@ class FaultAwareAdaptiveRouting(AdaptiveRouting):
     exactly how adaptive routing is supposed to react to a brown-out.
     """
 
-    def __init__(self, seed: int = 0, **kwargs) -> None:
-        super().__init__(seed=seed, **kwargs)
+    def __init__(self, seed: int = 0) -> None:
+        super().__init__(seed=seed)
         self._degraded: DegradedTables | None = None
         self._epoch = -1
 
@@ -220,11 +224,9 @@ class FaultAwareAdaptiveRouting(AdaptiveRouting):
         rng = self._rng
         tables = self._tables_for(fabric)
 
-        candidates = tables.minimal(
-            src_router, dst_router, self._minimal.max_candidates
-        )
-        if len(candidates) > self.minimal_candidates:
-            candidates = tuple(rng.sample(candidates, self.minimal_candidates))
+        candidates = tables.minimal(src_router, dst_router)
+        if len(candidates) > MINIMAL_CANDIDATES:
+            candidates = tuple(rng.sample(candidates, MINIMAL_CANDIDATES))
 
         best_path: Path | None = None
         best_cost = float("inf")
@@ -235,11 +237,9 @@ class FaultAwareAdaptiveRouting(AdaptiveRouting):
                 best_cost, best_path, best_is_min = cost, path, True
 
         if src_router != dst_router:
-            weight = self.nonminimal_weight
-            bias = self.minimal_bias_ns
             healthy = tables.healthy
             down = fabric.link_down
-            for _ in range(self.nonminimal_candidates):
+            for _ in range(NONMINIMAL_CANDIDATES):
                 path = valiant_route(healthy, src_router, dst_router, rng)
                 dead = False
                 for lid in path:
@@ -248,7 +248,10 @@ class FaultAwareAdaptiveRouting(AdaptiveRouting):
                         break
                 if dead:
                     continue
-                cost = self.candidate_cost(fabric, path, size) * weight + bias
+                cost = (
+                    self.candidate_cost(fabric, path, size) * NONMINIMAL_WEIGHT
+                    + MINIMAL_BIAS_NS
+                )
                 if cost < best_cost:
                     best_cost, best_path, best_is_min = cost, path, False
 

@@ -15,7 +15,6 @@ from repro.flow.fidelity import FidelityReport, fidelity_report, kendall_tau
 from repro.flow.routes import (
     BACKEND_NAMES,
     FlowEntry,
-    FlowParams,
     FlowRouteModel,
 )
 from repro.flow.solver import solve_scalar, solve_vector
@@ -25,7 +24,6 @@ __all__ = [
     "BACKEND_NAMES",
     "FlowFabric",
     "FlowEntry",
-    "FlowParams",
     "FlowRouteModel",
     "FidelityReport",
     "fidelity_report",

@@ -28,7 +28,7 @@ Routing maps onto flows per policy:
 
 Rates are re-solved only when the flow set changes — NIC-idle
 injections (coalesced to the
-:attr:`~repro.flow.routes.FlowParams.epoch_ns` grid), queued-flow
+:data:`~repro.flow.routes.EPOCH_NS` grid), queued-flow
 starts, and completions — so simulated cost scales with the number of
 *messages*, not packets or hops.
 
@@ -68,7 +68,7 @@ from collections import deque
 
 from repro.config import NetworkParams
 from repro.engine.simulator import Simulator
-from repro.flow.routes import FlowParams, flow_route_model
+from repro.flow.routes import EPOCH_NS, flow_route_model
 from repro.flow.solver import solve_vector
 from repro.network.packet import Message
 from repro.topology.dragonfly import Dragonfly
@@ -149,13 +149,11 @@ class FlowFabric:
         topo: Dragonfly,
         net: NetworkParams,
         routing: str,
-        params: FlowParams | None = None,
     ) -> None:
         self.sim = sim
         self.topo = topo
         self.net = net
-        self.params = params if params is not None else FlowParams()
-        self.routes = flow_route_model(topo, net, routing, self.params)
+        self.routes = flow_route_model(topo, net, routing)
 
         n_links = topo.num_links
         bw_arr, lat_arr, _buf = topo.link_profiles(net)
@@ -294,10 +292,7 @@ class FlowFabric:
     # wake scheduling
     # ------------------------------------------------------------------
     def _admission_time(self, now: float) -> float:
-        epoch = self.params.epoch_ns
-        if epoch <= 0.0:
-            return now
-        return max(now, math.ceil(now / epoch - 1e-9) * epoch)
+        return max(now, math.ceil(now / EPOCH_NS - 1e-9) * EPOCH_NS)
 
     def _request_wake(self, t: float) -> None:
         if t >= self._wake_time:

@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.config import NetworkParams
 from repro.engine.simulator import Simulator
-from repro.flow.routes import FlowParams, flow_route_model
+from repro.flow.routes import EPOCH_NS, flow_route_model
 from repro.flow.solver import SAT_RTOL, VECTOR_MIN_UNITS, _BOTTLENECK_RTOL, _W_EPS
 from repro.network.packet import Message
 from repro.topology.dragonfly import Dragonfly
@@ -86,14 +86,12 @@ class ArrayFlowFabric:
         topo: Dragonfly,
         net: NetworkParams,
         routing: str,
-        params: FlowParams | None = None,
         vec_min_units: int = VECTOR_MIN_UNITS,
     ) -> None:
         self.sim = sim
         self.topo = topo
         self.net = net
-        self.params = params if params is not None else FlowParams()
-        self.routes = flow_route_model(topo, net, routing, self.params)
+        self.routes = flow_route_model(topo, net, routing)
         #: Adaptive dispatch floor for the CSR settle/solve paths; the
         #: same break-even as the standalone vector solver. Tests pin
         #: it to 0 to force the vector paths at every size.
@@ -299,10 +297,7 @@ class ArrayFlowFabric:
     # wake scheduling (identical to the object fabric)
     # ------------------------------------------------------------------
     def _admission_time(self, now: float) -> float:
-        epoch = self.params.epoch_ns
-        if epoch <= 0.0:
-            return now
-        return max(now, math.ceil(now / epoch - 1e-9) * epoch)
+        return max(now, math.ceil(now / EPOCH_NS - 1e-9) * EPOCH_NS)
 
     def _request_wake(self, t: float) -> None:
         if t >= self._wake_time:

@@ -17,12 +17,12 @@ machinery with per-*message* equivalents:
   message injection the fabric scores the candidates with the packet
   model's own UGAL-L rule — unloaded traversal time plus the first
   link's backlog scaled by hop count, Valiant costs inflated by
-  :attr:`FlowParams.nonminimal_weight` and offset by
-  :attr:`FlowParams.minimal_bias_ns` — and the whole message follows
-  the winner. The decision is per message instead of per packet (a
-  documented fidelity limit, DESIGN.md S16), but it preserves what the
-  study measures: detours are taken exactly when minimal paths look
-  congested.
+  :data:`~repro.routing.adaptive.NONMINIMAL_WEIGHT` and offset by
+  :data:`~repro.routing.adaptive.MINIMAL_BIAS_NS` — and the whole
+  message follows the winner. The decision is per message instead of
+  per packet (a documented fidelity limit, DESIGN.md S16), but it
+  preserves what the study measures: detours are taken exactly when
+  minimal paths look congested.
 
 Everything here is static given the topology, so entries and candidate
 sets are memoised per (src_node, dst_node) pair, mirroring
@@ -33,18 +33,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from repro.config import NetworkParams
+from repro.routing.adaptive import MINIMAL_BIAS_NS, NONMINIMAL_WEIGHT
 from repro.routing.tables import route_tables
 from repro.topology.dragonfly import Dragonfly
 
 __all__ = [
     "BACKEND_NAMES",
-    "FlowParams",
+    "EPOCH_NS",
+    "MAX_VALIANT",
     "FlowEntry",
     "FlowCandidate",
     "FlowRouteModel",
@@ -61,39 +62,15 @@ BACKEND_NAMES = ("packet", "flow")
 SPILL_QUANTA = 64
 
 
-@dataclass(frozen=True)
-class FlowParams:
-    """Tunables of the flow-level model (DESIGN.md S16)."""
+#: Rate-solve admission grid in simulated ns: flows injected while the
+#: network is mid-epoch are admitted (and rates re-solved) at the next
+#: multiple of this grid, coalescing bursts of injections into one
+#: bottleneck solve (DESIGN.md S16).
+EPOCH_NS = 500.0
 
-    #: Rate-solve admission grid in simulated ns: flows injected while
-    #: the network is mid-epoch are admitted (and rates re-solved) at
-    #: the next multiple of this grid, coalescing bursts of injections
-    #: into one bottleneck solve. ``0`` solves at every injection.
-    epoch_ns: float = 500.0
-    #: Minimal-route enumeration bound (mirrors ``MinimalRouting``).
-    max_minimal: int = 8
-    #: Bound on the deterministic Valiant candidate set (intermediate
-    #: groups for inter-group pairs, intermediate routers for
-    #: intra-group pairs).
-    max_valiant_groups: int = 4
-    #: UGAL minimal preference, mirroring
-    #: :class:`~repro.routing.adaptive.AdaptiveRouting`: a Valiant
-    #: candidate's cost is multiplied by ``nonminimal_weight`` and
-    #: offset by ``minimal_bias_ns`` before comparison.
-    minimal_bias_ns: float = 100.0
-    nonminimal_weight: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.epoch_ns < 0:
-            raise ValueError("epoch_ns must be non-negative")
-        if self.max_minimal < 1:
-            raise ValueError("max_minimal must be positive")
-        if self.max_valiant_groups < 1:
-            raise ValueError("max_valiant_groups must be positive")
-        if self.minimal_bias_ns < 0:
-            raise ValueError("minimal_bias_ns must be non-negative")
-        if self.nonminimal_weight < 1.0:
-            raise ValueError("nonminimal_weight must be >= 1")
+#: Bound on the deterministic Valiant candidate set: intermediate groups
+#: for inter-group pairs, intermediate routers for intra-group pairs.
+MAX_VALIANT = 4
 
 
 class FlowEntry(NamedTuple):
@@ -130,14 +107,12 @@ class FlowRouteModel:
         topo: Dragonfly,
         net: NetworkParams,
         routing: str,
-        params: FlowParams | None = None,
     ) -> None:
         if routing not in ("min", "adp"):
             raise ValueError(f"unknown routing policy {routing!r}")
         self.topo = topo
         self.net = net
         self.routing = routing
-        self.params = params if params is not None else FlowParams()
         self.tables = route_tables(topo)
         bw, lat, _buf = topo.link_profiles(net)
         self.bw: list[float] = bw.tolist()
@@ -262,8 +237,8 @@ class FlowRouteModel:
         This method replays that loop in miniature: packet-sized quanta
         are routed greedily with the packet policy's cost rule
         (unloaded traversal time plus first-link backlog scaled by hop
-        count; Valiant inflated by ``nonminimal_weight`` and offset by
-        ``minimal_bias_ns``), charging each quantum to its winner's
+        count; Valiant inflated by ``NONMINIMAL_WEIGHT`` and offset by
+        ``MINIMAL_BIAS_NS``), charging each quantum to its winner's
         first hop and draining every backlog at link rate for the
         quantum's NIC serialisation time. ``load`` seeds the backlog
         with the fabric's pending-byte ledger (cross-flow congestion);
@@ -364,8 +339,8 @@ class FlowRouteModel:
         n = len(unls)
         if n == 0:
             return ()
-        wfac = self.params.nonminimal_weight
-        bias = self.params.minimal_bias_ns
+        wfac = NONMINIMAL_WEIGHT
+        bias = MINIMAL_BIAS_NS
         psize = self.packet_size
         drain_dt = psize / self.bw[self.topo.terminal_in(src_node)]
         drain_amt = [drain_dt * b for b in uniq_bw]
@@ -417,7 +392,7 @@ class FlowRouteModel:
 
         latency = lat[t_in] + lat[t_out]
         rr_hops = 0.0
-        minimal = self.tables.minimal(src_r, dst_r, self.params.max_minimal)
+        minimal = self.tables.minimal(src_r, dst_r)
         w = 1.0 / len(minimal)
         for path in minimal:
             latency += w * sum(lat[lid] for lid in path)
@@ -478,7 +453,7 @@ class FlowRouteModel:
             )
             out.append(FlowCandidate(entry=entry, rr_path=path))
 
-        minimal = self.tables.minimal(src_r, dst_r, self.params.max_minimal)
+        minimal = self.tables.minimal(src_r, dst_r)
         for path in minimal:
             add(path, nonmin=False)
         # Like the packet policy, detours are only considered between
@@ -498,7 +473,7 @@ class FlowRouteModel:
         intermediate *group* for inter-group pairs, an intermediate
         *router* of the source group for intra-group pairs (mirroring
         :func:`~repro.routing.paths.valiant_route`). Here up to
-        :attr:`FlowParams.max_valiant_groups` intermediates are chosen
+        :data:`MAX_VALIANT` intermediates are chosen
         by an even stride over the candidates, with route variants
         picked by a (src, dst)-derived index — no RNG, so the set is a
         pure function of the endpoints.
@@ -511,7 +486,7 @@ class FlowRouteModel:
         mids = [g for g in range(topo.params.groups) if g not in (g1, g2)]
         if not mids:
             return ()
-        k = self.params.max_valiant_groups
+        k = MAX_VALIANT
         n_mid = min(k, len(mids))
         if n_mid == 1:
             chosen = [mids[(src_r + dst_r) % len(mids)]]
@@ -556,7 +531,7 @@ class FlowRouteModel:
         ]
         if not mids:
             return ()
-        k = self.params.max_valiant_groups
+        k = MAX_VALIANT
         n_mid = min(k, len(mids))
         if n_mid == 1:
             chosen = [mids[(src_r + dst_r) % len(mids)]]
@@ -583,29 +558,16 @@ class FlowRouteModel:
         return tuple(paths)
 
 
+@functools.lru_cache(maxsize=16)
 def flow_route_model(
-    topo: Dragonfly,
-    net: NetworkParams,
-    routing: str,
-    params: FlowParams | None = None,
+    topo: Dragonfly, net: NetworkParams, routing: str
 ) -> FlowRouteModel:
     """Shared, memoised route model.
 
     A :class:`FlowRouteModel` is a pure function of its arguments and
     append-only after construction, so fabrics of different cells can
     share one instance — the entry/candidate/spill memos then warm up
-    once per (topology, network, routing, params) instead of once per
-    run. Memo warmth never changes results, only speed.
+    once per (topology, network, routing) instead of once per run. Memo
+    warmth never changes results, only speed.
     """
-    key = params if params is not None else FlowParams()
-    return _shared_model(topo, net, routing, key)
-
-
-@functools.lru_cache(maxsize=16)
-def _shared_model(
-    topo: Dragonfly,
-    net: NetworkParams,
-    routing: str,
-    params: FlowParams,
-) -> FlowRouteModel:
-    return FlowRouteModel(topo, net, routing, params)
+    return FlowRouteModel(topo, net, routing)

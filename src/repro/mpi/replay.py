@@ -56,6 +56,13 @@ from repro.network.packet import Message
 
 __all__ = ["ReplayEngine", "JobResult", "RankResult", "ReplayStalled"]
 
+#: Exit latency of a centrally coordinated barrier, in ns.
+BARRIER_LATENCY_NS = 1000.0
+#: Same-node messages skip the fabric: a memcpy at this bandwidth
+#: (bytes/ns) after a fixed latency in ns.
+LOCAL_COPY_BW = 50.0 * GIB_PER_SEC
+LOCAL_LATENCY_NS = 500.0
+
 
 class _PostedRecv(NamedTuple):
     src: int
@@ -244,9 +251,6 @@ class ReplayEngine:
         sim: Simulator,
         fabric: Fabric,
         compute_scale: float = 0.0,
-        barrier_latency_ns: float = 1000.0,
-        local_copy_bw: float = 50.0 * GIB_PER_SEC,
-        local_latency_ns: float = 500.0,
         record_sends: bool = False,
         eager_threshold: int | None = None,
     ) -> None:
@@ -257,9 +261,6 @@ class ReplayEngine:
         self.sim = sim
         self.fabric = fabric
         self.compute_scale = compute_scale
-        self.barrier_latency_ns = barrier_latency_ns
-        self.local_copy_bw = local_copy_bw
-        self.local_latency_ns = local_latency_ns
         self.record_sends = record_sends
         self.eager_threshold = eager_threshold
         self._jobs: dict[int, _JobState] = {}
@@ -477,7 +478,7 @@ class ReplayEngine:
 
         if dst_node == rs.node:
             # Same-node: local memcpy, off the fabric.
-            delay = self.local_latency_ns + size / self.local_copy_bw
+            delay = LOCAL_LATENCY_NS + size / LOCAL_COPY_BW
             shim = _LocalDelivery(rs.rank, dst, tag, size, js.job_id)
             self.sim.schedule(delay, self._deliver, shim)
             if req is not None:
@@ -707,4 +708,4 @@ class ReplayEngine:
             waiting, js.barrier_waiting = js.barrier_waiting, []
             for peer in waiting:
                 self._unblock(peer)
-                self.sim.schedule(self.barrier_latency_ns, self._advance, peer)
+                self.sim.schedule(BARRIER_LATENCY_NS, self._advance, peer)

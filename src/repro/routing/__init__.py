@@ -9,13 +9,20 @@
 
 from repro.routing.base import RoutingPolicy
 from repro.routing.minimal import MinimalRouting
-from repro.routing.adaptive import AdaptiveRouting
+from repro.routing.adaptive import (
+    MINIMAL_BIAS_NS,
+    MINIMAL_CANDIDATES,
+    NONMINIMAL_CANDIDATES,
+    NONMINIMAL_WEIGHT,
+    AdaptiveRouting,
+)
 from repro.routing.paths import (
     local_hop_count,
     intra_group_links,
     enumerate_minimal_routes,
     valiant_route,
 )
+from repro.routing.tables import MAX_MINIMAL
 
 __all__ = [
     "RoutingPolicy",
@@ -27,6 +34,11 @@ __all__ = [
     "valiant_route",
     "make_routing",
     "ROUTING_NAMES",
+    "MAX_MINIMAL",
+    "MINIMAL_BIAS_NS",
+    "MINIMAL_CANDIDATES",
+    "NONMINIMAL_CANDIDATES",
+    "NONMINIMAL_WEIGHT",
 ]
 
 #: Short names used in the paper's configuration nomenclature (Table I).

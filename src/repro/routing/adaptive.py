@@ -20,7 +20,9 @@ Two congestion-sensing modes are provided:
 
 A small additive bias in favour of minimal routes models the minimal
 preference Cray's adaptive mode implements (non-minimal is only taken
-when it looks genuinely cheaper, not merely equal).
+when it looks genuinely cheaper, not merely equal). The candidate
+counts, bias and weight are fixed Aries behaviour, so they are module
+constants that the flow route model (:mod:`repro.flow.routes`) shares.
 """
 
 from __future__ import annotations
@@ -30,14 +32,28 @@ from typing import TYPE_CHECKING
 
 from repro.engine.rng import spawn_seed
 from repro.routing.base import RoutingPolicy
-from repro.routing.minimal import MinimalRouting
 from repro.routing.paths import valiant_route
 from repro.routing.tables import route_tables
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.fabric import Fabric
 
-__all__ = ["AdaptiveRouting"]
+__all__ = [
+    "AdaptiveRouting",
+    "MINIMAL_BIAS_NS",
+    "MINIMAL_CANDIDATES",
+    "NONMINIMAL_CANDIDATES",
+    "NONMINIMAL_WEIGHT",
+]
+
+#: Minimal and non-minimal (Valiant) candidates sampled per packet.
+MINIMAL_CANDIDATES = 2
+NONMINIMAL_CANDIDATES = 2
+#: Minimal preference: a Valiant candidate's cost is multiplied by
+#: ``NONMINIMAL_WEIGHT`` and offset by ``MINIMAL_BIAS_NS`` before it is
+#: compared with the minimal candidates.
+MINIMAL_BIAS_NS = 100.0
+NONMINIMAL_WEIGHT = 2.0
 
 
 class AdaptiveRouting(RoutingPolicy):
@@ -45,29 +61,10 @@ class AdaptiveRouting(RoutingPolicy):
 
     name = "adp"
 
-    def __init__(
-        self,
-        seed: int = 0,
-        minimal_candidates: int = 2,
-        nonminimal_candidates: int = 2,
-        minimal_bias_ns: float = 100.0,
-        nonminimal_weight: float = 2.0,
-        mode: str = "local",
-    ) -> None:
-        if minimal_candidates < 1:
-            raise ValueError("need at least one minimal candidate")
-        if nonminimal_candidates < 0:
-            raise ValueError("nonminimal_candidates must be non-negative")
-        if nonminimal_weight < 1.0:
-            raise ValueError("nonminimal_weight must be >= 1")
+    def __init__(self, seed: int = 0, mode: str = "local") -> None:
         if mode not in ("local", "path"):
             raise ValueError(f"unknown congestion-sensing mode {mode!r}")
         self._rng = random.Random(spawn_seed(seed, "routing", "adaptive"))
-        self._minimal = MinimalRouting(seed=seed)
-        self.minimal_candidates = minimal_candidates
-        self.nonminimal_candidates = nonminimal_candidates
-        self.minimal_bias_ns = minimal_bias_ns
-        self.nonminimal_weight = nonminimal_weight
         self.mode = mode
         self._tables = None  # memoised RouteTables of the last-seen topo
         # (path, size) -> unloaded traversal time. The cached value is
@@ -114,11 +111,9 @@ class AdaptiveRouting(RoutingPolicy):
             tables = self._tables = route_tables(topo)
         candidates = tables._minimal.get((src_router, dst_router))
         if candidates is None:
-            candidates = tables.minimal(
-                src_router, dst_router, self._minimal.max_candidates
-            )
-        if len(candidates) > self.minimal_candidates:
-            candidates = rng.sample(candidates, self.minimal_candidates)
+            candidates = tables.minimal(src_router, dst_router)
+        if len(candidates) > MINIMAL_CANDIDATES:
+            candidates = rng.sample(candidates, MINIMAL_CANDIDATES)
 
         # This runs once per packet on adaptive cells, so the UGAL-L
         # cost is computed inline (keep in sync with candidate_cost) —
@@ -164,9 +159,7 @@ class AdaptiveRouting(RoutingPolicy):
             # Cray-style minimal preference: the non-minimal estimate is
             # inflated (weight) and offset (bias), so detours are taken
             # only when minimal looks substantially congested.
-            weight = self.nonminimal_weight
-            bias = self.minimal_bias_ns
-            for _ in range(self.nonminimal_candidates):
+            for _ in range(NONMINIMAL_CANDIDATES):
                 path = valiant_route(tables, src_router, dst_router, rng)
                 if local_mode:  # Valiant detours are never empty
                     key = (path, size)
@@ -180,7 +173,7 @@ class AdaptiveRouting(RoutingPolicy):
                     cost += queued[first] / bw[first] * len(path)
                 else:
                     cost = self.candidate_cost(fabric, path, size)
-                cost = cost * weight + bias
+                cost = cost * NONMINIMAL_WEIGHT + MINIMAL_BIAS_NS
                 if cost < best_cost:
                     best_cost, best_path, best_is_min = cost, path, False
 

@@ -32,9 +32,8 @@ class MinimalRouting(RoutingPolicy):
 
     name = "min"
 
-    def __init__(self, seed: int = 0, max_candidates: int = 8) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(spawn_seed(seed, "routing", "minimal"))
-        self.max_candidates = max_candidates
         self._tables = None  # memoised RouteTables of the last-seen topo
 
     def minimal_candidates(
@@ -44,7 +43,7 @@ class MinimalRouting(RoutingPolicy):
         tables = self._tables
         if tables is None or tables.topo is not fabric.topo:
             tables = self._tables = route_tables(fabric.topo)
-        return tables.minimal(src_router, dst_router, self.max_candidates)
+        return tables.minimal(src_router, dst_router)
 
     def route(
         self, fabric: "Fabric", src_router: int, dst_node: int, size: int
@@ -58,7 +57,7 @@ class MinimalRouting(RoutingPolicy):
             tables = self._tables = route_tables(topo)
         routes = tables._minimal.get((src_router, dst_router))
         if routes is None:
-            routes = tables.minimal(src_router, dst_router, self.max_candidates)
+            routes = tables.minimal(src_router, dst_router)
         n = len(routes)
         # choice(seq) is exactly seq[_randbelow(len(seq))] — same bit
         # stream, minus the wrapper frame.

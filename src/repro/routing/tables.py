@@ -21,9 +21,14 @@ from __future__ import annotations
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.geometry import router_coord, router_id
 
-__all__ = ["RouteTables", "route_tables"]
+__all__ = ["MAX_MINIMAL", "RouteTables", "route_tables"]
 
 Path = tuple[int, ...]
+
+#: Bound on the minimum-hop routes enumerated per router pair. Every
+#: policy and the flow route model share one memo per topology, so the
+#: bound is one constant, not a per-caller argument.
+MAX_MINIMAL = 8
 
 
 class RouteTables:
@@ -95,8 +100,8 @@ class RouteTables:
         return result
 
     # ------------------------------------------------------------------
-    def minimal(self, r1: int, r2: int, limit: int = 8) -> tuple[Path, ...]:
-        """Minimum-hop routes r1 -> r2 (up to ``limit`` variants)."""
+    def minimal(self, r1: int, r2: int) -> tuple[Path, ...]:
+        """Minimum-hop routes r1 -> r2 (up to :data:`MAX_MINIMAL` variants)."""
         key = (r1, r2)
         cached = self._minimal.get(key)
         if cached is not None:
@@ -108,7 +113,7 @@ class RouteTables:
             g1 = topo.group_of_router(r1)
             g2 = topo.group_of_router(r2)
             if g1 == g2:
-                routes = self.intra(r1, r2)[:limit]
+                routes = self.intra(r1, r2)[:MAX_MINIMAL]
             else:
                 best = None
                 scored: list[tuple[int, Path, int]] = []
@@ -124,7 +129,7 @@ class RouteTables:
                         continue
                     tails = self.intra(entry, r2)
                     built.append(path + tails[len(built) % len(tails)])
-                    if len(built) >= limit:
+                    if len(built) >= MAX_MINIMAL:
                         break
                 routes = tuple(built)
         self._minimal[key] = routes

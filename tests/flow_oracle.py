@@ -28,6 +28,7 @@ from typing import Any, Sequence
 from repro.flow.fabric import FlowFabric
 from repro.flow.routes import SPILL_QUANTA, FlowEntry, FlowRouteModel
 from repro.flow.solver import _BOTTLENECK_RTOL, _W_EPS, SAT_RTOL, solve_scalar
+from repro.routing import MINIMAL_BIAS_NS, NONMINIMAL_WEIGHT
 
 __all__ = [
     "F",
@@ -98,8 +99,8 @@ def emulate_oracle(
         # ``static[-1]`` — an IndexError on the empty tuple.
         return ()
     bw = model.bw
-    wfac = model.params.nonminimal_weight
-    bias = model.params.minimal_bias_ns
+    wfac = NONMINIMAL_WEIGHT
+    bias = MINIMAL_BIAS_NS
     psize = model.packet_size
     drain_dt = psize / bw[model.topo.terminal_in(src_node)]
     backlog: dict[int, float] = {}

@@ -19,6 +19,7 @@ from repro.core.runner import build_topology
 from repro.engine import Simulator
 from repro.exec.plan import plan_grid
 from repro.faults import FaultPlan, LinkFault, random_fault_plan
+from repro.faults.plan import _undirected_pairs
 from repro.mpi import ReplayEngine
 from repro.network import Fabric
 from repro.obs import ObsConfig
@@ -147,10 +148,17 @@ class TestSeededPlanDeterminism:
     def test_grid_identical_serial_vs_parallel(self):
         cfg = repro.tiny()
         trace = _trace()
-        plan = random_fault_plan(
-            build_topology(cfg.topology), 0.2, seed=11, degraded_fraction=0.3
+        topo = build_topology(cfg.topology)
+        drawn = random_fault_plan(topo, 0.2, seed=11)
+        # One degraded (not dead) channel beside the drawn dead ones.
+        dead = {f.link for f in drawn.link_faults}
+        fwd, rev = next(p for p in _undirected_pairs(topo) if p[0] not in dead)
+        plan = FaultPlan(
+            link_faults=drawn.link_faults
+            + (LinkFault(fwd, 0.0, 0.5), LinkFault(rev, 0.0, 0.5)),
+            seed=drawn.seed,
         )
-        assert not plan.is_empty()
+        assert drawn.link_faults
 
         def grid(workers):
             study = repro.TradeoffStudy(

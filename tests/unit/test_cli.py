@@ -1,8 +1,11 @@
-"""CLI smoke tests (each command runs and prints plausible output)."""
+"""CLI tests: each command runs and prints plausible output, and
+accepts only the flags it reads."""
+
+import argparse
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.mpi.dumpi import save_trace
 
 
@@ -14,6 +17,105 @@ def run_cli(capsys, *argv):
 
 COMMON = ["--preset", "tiny", "--ranks", "8", "--msg-scale", "0.05", "--seed", "1"]
 
+MACHINE = {"--preset", "--seed"}
+TRACE = {"--ranks", "--msg-scale"}
+EXEC = {"--workers", "--cache-dir", "--progress"}
+FAULTS = {"--faults", "--fault-rate", "--fault-seed"}
+OBS = {"--obs", "--obs-window-ns", "--obs-out", "--obs-format"}
+FUNNEL = {
+    "--funnel", "--routing", "--model", "--train-cache", "--save-model",
+    "--candidates-per-policy", "--screen-top", "--validate-top",
+    "--exhaustive", "--out", "--workers", "--cache-dir",
+}
+
+#: Every flag each command accepts: exactly the flags it reads.
+SURFACE = {
+    "study": MACHINE | TRACE | EXEC | {"--backend"} | FAULTS | OBS,
+    "sensitivity": MACHINE | TRACE | EXEC | {"--backend"} | FAULTS,
+    "interference": MACHINE | TRACE | EXEC | {"--backend"} | FAULTS | OBS
+    | {"--pattern", "--bg-bytes", "--bg-interval-us", "--bg-fanout"},
+    "resilience": MACHINE | TRACE | EXEC
+    | {"--fault-seed", "--rates", "--router-rate", "--out"},
+    "fidelity": MACHINE | TRACE | EXEC | {"--out"},
+    "replay": MACHINE | {"--msg-scale", "--backend"} | FAULTS | OBS
+    | {"--placement", "--routing", "--trace-ranks"},
+    "training-tradeoff": MACHINE | TRACE | EXEC
+    | {"--backend", "--apps", "--trace", "--trace-ranks", "--out"},
+    "characterize": {"--seed"} | TRACE,
+    "advise": MACHINE | TRACE | {"--shared", "--bursty"} | FUNNEL,
+    "cluster-stream": MACHINE | EXEC | {"--backend"} | FAULTS
+    | {"--duration", "--load", "--mix", "--policy", "--model", "--routing",
+       "--backfill", "--validate-every", "--out"},
+    "nomenclature": set(),
+}
+
+
+class TestSurface:
+    def test_each_command_accepts_only_its_flags(self):
+        parser = build_parser()
+        (sub,) = [
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        seen = {
+            name: {
+                flag
+                for action in sp._actions
+                for flag in action.option_strings
+                if flag.startswith("--") and flag != "--help"
+            }
+            for name, sp in sub.choices.items()
+        }
+        assert seen == SURFACE
+        assert sum(map(len, seen.values())) == 129
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "FB", *COMMON, "--faults", "missing.json"],
+            ["resilience", "FB", *COMMON, "--fault-rate", "0.5"],
+            ["characterize", "FB", "--obs", "--workers", "4",
+             "--cache-dir", "/nonexistent"],
+            ["training-tradeoff", *COMMON, "--apps", "DP",
+             "--faults", "missing.json", "--obs-out", "obs-dir"],
+            ["sensitivity", "FB", *COMMON, "--obs-out", "obs-dir"],
+            ["advise", "FB", *COMMON, "--screen-top", "3"],
+            ["study", "FB", *COMMON, "--faults", "plan.json",
+             "--fault-rate", "0.1"],
+        ],
+        ids=[
+            "fidelity-faults", "resilience-fault-rate", "characterize-exec",
+            "training-faults-obs", "sensitivity-obs-out",
+            "advise-funnel-flag", "study-plan-and-rate",
+        ],
+    )
+    def test_flags_a_command_would_ignore_are_usage_errors(
+        self, argv, tmp_path, monkeypatch
+    ):
+        from repro.faults import FaultPlan, save_fault_plan
+
+        monkeypatch.chdir(tmp_path)
+        save_fault_plan(FaultPlan(), "plan.json")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "obs-dir").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["study", "FB", *COMMON, "--backend", "flow", "--obs"],
+            ["study", "FB", *COMMON, "--faults", "missing.json"],
+            ["advise", "FB", *COMMON, "--funnel", "--shared",
+             "--model", "missing.json"],
+        ],
+        ids=["flow-obs", "missing-plan", "funnel-shared"],
+    )
+    def test_bad_combinations_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_nomenclature(self, capsys):
@@ -22,7 +124,10 @@ class TestCommands:
         assert "cont-min" in out and "rand-adp" in out
 
     def test_characterize(self, capsys):
-        rc, out = run_cli(capsys, "characterize", "CR", *COMMON)
+        rc, out = run_cli(
+            capsys, "characterize", "CR", "--ranks", "8", "--msg-scale", "0.05",
+            "--seed", "1",
+        )
         assert rc == 0
         assert "avg load per rank" in out
 
@@ -64,6 +169,22 @@ class TestCommands:
         )
         assert rc == 0
         assert "max_comm_ms" in out
+
+    def test_replay_honours_msg_scale(self, capsys, tmp_path):
+        import repro
+
+        path = tmp_path / "amg.dumpi"
+        save_trace(repro.amg_trace(num_ranks=8, seed=1).scaled(0.1), path)
+        comm = {}
+        for scale in ("1.0", "0.01"):
+            rc, out = run_cli(
+                capsys, "replay", str(path), "--preset", "tiny", "--seed", "1",
+                "--msg-scale", scale,
+            )
+            assert rc == 0
+            (line,) = [ln for ln in out.splitlines() if "max_comm_ms" in ln]
+            comm[scale] = float(line.split(":")[1])
+        assert comm["0.01"] < comm["1.0"]
 
     def test_replay_with_fault_plan_file(self, capsys, tmp_path):
         import repro

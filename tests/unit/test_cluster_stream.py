@@ -25,7 +25,6 @@ from repro.cluster import (
 )
 from repro.cluster.workload import default_mix
 from repro.exec.plan import RunSpec, config_digest, trace_fingerprint
-from repro.flow.routes import FlowParams
 from repro.mpi.trace import JobTrace
 from repro.placement.machine import Machine
 
@@ -55,7 +54,7 @@ class TestWorkload:
 
         mix = ml_mix()
         assert {c.app for c in mix.classes} == {"DP", "PP", "TP", "MOE"}
-        jobs = generate_stream(mix, 7200.0, 0.6, 24, seed=3, max_jobs=12)
+        jobs = generate_stream(mix, 7200.0, 0.6, 24, seed=3)[:12]
         assert jobs
         for job in jobs:
             assert job.app in ("DP", "PP", "TP", "MOE")
@@ -95,17 +94,6 @@ class TestWorkload:
         a = generate_stream(default_mix(), 7200.0, 0.6, 24, seed=1)
         b = generate_stream(default_mix(), 7200.0, 0.6, 24, seed=2)
         assert [j.arrival_s for j in a] != [j.arrival_s for j in b]
-
-    def test_trace_driven_interarrivals(self):
-        gaps = [100.0, 50.0, 25.0]
-        jobs = generate_stream(
-            default_mix(), 1000.0, 0.0, 24, seed=0, interarrivals_s=gaps
-        )
-        assert [j.arrival_s for j in jobs] == [100.0, 150.0, 175.0]
-        with pytest.raises(ValueError, match="non-negative"):
-            generate_stream(
-                default_mix(), 1e3, 0.0, 24, interarrivals_s=[-1.0]
-            )
 
     def test_arrivals_sorted_and_capped(self):
         jobs = generate_stream(default_mix(), 36_000.0, 0.8, 24, seed=5)
@@ -293,55 +281,6 @@ class TestEpochCells:
         with pytest.raises(ValueError, match="spans"):
             simulate_epoch(tiny_config, spec, bigger)
 
-    def test_simulate_epoch_honours_flow_params(self, tiny_config, monkeypatch):
-        """An epoch flow cell runs the model its ``flow_params`` name:
-        the fabric gets the spec's params, and turning epoch coalescing
-        off moves the job's finish time."""
-        fb = repro.fill_boundary_trace(num_ranks=8, seed=3).scaled(0.2)
-        spec, merged = _epoch_spec_for(tiny_config, [(fb, list(range(8)))])
-        finish = {}
-        for params in (None, FlowParams(epoch_ns=0.0)):
-            cell = dataclasses.replace(spec, flow_params=params)
-            out = simulate_epoch(tiny_config, cell, merged)
-            finish[params] = out.extra["epoch_jobs"][fb.name]["finish_ns"]
-        assert finish[None] != finish[FlowParams(epoch_ns=0.0)]
-
-        from repro.flow import fabric
-
-        seen = []
-
-        class Spy(fabric.FlowFabric):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                seen.append(self.params)
-
-        monkeypatch.setattr(fabric, "FlowFabric", Spy)
-        tuned = FlowParams(max_minimal=1)
-        simulate_epoch(
-            tiny_config, dataclasses.replace(spec, flow_params=tuned), merged
-        )
-        assert seen == [tuned]
-
-    def test_non_default_params_retire_old_epoch_keys(self, tiny_config):
-        """Epoch cells cached before ``simulate_epoch`` honoured
-        ``flow_params`` hold default physics under keys that name other
-        params, so those keys must miss now; default-params epoch keys
-        and single-job flow keys (whose runner always honoured the
-        params) keep the keys captured from that code."""
-        fb = repro.fill_boundary_trace(num_ranks=8, seed=3).scaled(0.2)
-        spec, _ = _epoch_spec_for(tiny_config, [(fb, list(range(8)))])
-        tuned = dataclasses.replace(spec, flow_params=FlowParams(epoch_ns=0.0))
-        single = dataclasses.replace(tuned, epoch=None)
-        assert spec.key == (
-            "a56b8835d8ad821bd722534b749d7f58a6c8027143e47ec73b7986324075350f"
-        )
-        assert tuned.key != (
-            "c4b5a9ec6f345d0a28b1311740c95564a5a05be8534c0c322f364b5da992ebfa"
-        )
-        assert single.key == (
-            "861b06ee1b89f170e7dda00430c192829cd91413e52de6c19a6160173255c72d"
-        )
-
     def test_flow_cell_rejects_fault_plan(self, tiny_config):
         from repro.faults import FaultPlan, LinkFault
 
@@ -490,9 +429,24 @@ class TestRunStream:
             assert math.isfinite(v.max_rel_err)
 
     def test_explicit_jobs_and_packet_backend(self, tiny_config):
-        jobs = generate_stream(
-            "CR=1", 600.0, 0.0, 24, seed=1, interarrivals_s=[50.0, 20.0]
-        )
+        from repro.cluster import StreamJob
+
+        jobs = [
+            StreamJob(
+                id=i,
+                app="CR",
+                ranks=ranks,
+                arrival_s=arrival,
+                service_s=service,
+                msg_scale=scale,
+                trace=repro.crystal_router_trace(
+                    num_ranks=ranks, seed=1_000_003 + i
+                ).scaled(scale),
+            )
+            for i, (ranks, arrival, service, scale) in enumerate(
+                [(4, 50.0, 573.0, 0.1), (8, 70.0, 251.0, 0.2)]
+            )
+        ]
         res = run_stream(
             tiny_config,
             mix="CR=1",

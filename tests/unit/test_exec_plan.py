@@ -134,8 +134,41 @@ BAD_OPTIONS = {
 }
 
 
+#: Grids with one unknown name, and the quoted name each error gives.
+BAD_NAMES = {
+    "placement": ((("cont", "bogus"), ("min",)), "'bogus'"),
+    "routing": ((("cont",), ("min", "ugal")), "'ugal'"),
+}
+
+
+def no_cells(*args, **kwargs):
+    raise AssertionError("a cell was executed")
+
+
 class TestPlanBoundary:
     """Bad cell options fail when the plan is built, not in every cell."""
+
+    @pytest.mark.parametrize("case", BAD_NAMES)
+    def test_plan_grid_rejects_unknown_names(self, case):
+        (placements, routings), word = BAD_NAMES[case]
+        with pytest.raises(ValueError, match=word):
+            plan_grid(repro.tiny(), small_traces(), placements, routings)
+
+    @pytest.mark.parametrize("case", BAD_NAMES)
+    def test_plan_sensitivity_rejects_unknown_names(self, case):
+        (placements, routings), word = BAD_NAMES[case]
+        configs = [(p, r) for p in placements for r in routings]
+        with pytest.raises(ValueError, match=word):
+            plan_sensitivity(repro.tiny(), tiny_trace(), (1.0,), configs)
+
+    def test_run_stream_rejects_unknown_routing(self, monkeypatch):
+        from repro.cluster import engine
+
+        monkeypatch.setattr(engine, "execute_plan", no_cells)
+        with pytest.raises(ValueError, match="'ugal'"):
+            engine.run_stream(
+                repro.tiny(), duration_s=900.0, load=0.5, seed=3, routing="ugal"
+            )
 
     @pytest.mark.parametrize("case", BAD_OPTIONS)
     def test_plan_grid_rejects(self, case):
@@ -143,7 +176,8 @@ class TestPlanBoundary:
         with pytest.raises(ValueError, match=word):
             plan_grid(repro.tiny(), small_traces(), ["cont"], ["min"], **options)
 
-    @pytest.mark.parametrize("case", BAD_OPTIONS)
+    # The sweep records no telemetry, so it takes no obs option.
+    @pytest.mark.parametrize("case", [c for c in BAD_OPTIONS if c != "flow-obs"])
     def test_plan_sensitivity_rejects(self, case):
         options, word = BAD_OPTIONS[case]
         with pytest.raises(ValueError, match=word):
@@ -154,9 +188,6 @@ class TestPlanBoundary:
     @pytest.mark.parametrize("case", BAD_OPTIONS)
     def test_study_raises_before_any_cell_runs(self, case, monkeypatch):
         from repro.core import study
-
-        def no_cells(*args, **kwargs):
-            raise AssertionError("a cell was executed")
 
         monkeypatch.setattr(study, "execute_plan", no_cells)
         options, word = BAD_OPTIONS[case]

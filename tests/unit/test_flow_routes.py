@@ -9,11 +9,13 @@ import pytest
 import repro
 from repro.flow.routes import (
     BACKEND_NAMES,
-    FlowParams,
+    MAX_VALIANT,
     FlowRouteModel,
     SPILL_QUANTA,
     flow_route_model,
 )
+from repro.routing import MAX_MINIMAL
+from repro.routing.tables import route_tables
 
 
 @pytest.fixture(scope="module")
@@ -58,25 +60,23 @@ def _pairs(topo):
 
 
 class TestFlowParams:
-    def test_defaults_valid(self):
-        FlowParams()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"epoch_ns": -1.0},
-            {"max_minimal": 0},
-            {"max_valiant_groups": 0},
-            {"minimal_bias_ns": -5.0},
-            {"nonminimal_weight": 0.5},
-        ],
-    )
-    def test_invalid_fields_raise(self, kwargs):
-        with pytest.raises(ValueError):
-            FlowParams(**kwargs)
+    """The flow model's fixed parameters, shared with the packet model."""
 
     def test_backend_names(self):
         assert BACKEND_NAMES == ("packet", "flow")
+
+    def test_candidates_follow_the_shared_bounds(self, adp_model, topo):
+        """Adaptive candidates are the packet tables' minimal routes
+        (at most ``MAX_MINIMAL``) followed by at most ``MAX_VALIANT``
+        detours."""
+        tables = route_tables(topo)
+        for src, dst in _pairs(topo):
+            minimal = tables.minimal(topo.router_of(src), topo.router_of(dst))
+            assert len(minimal) <= MAX_MINIMAL
+            cands = adp_model.candidates(src, dst)
+            paths = [c.rr_path for c in cands]
+            assert paths[: len(minimal)] == list(minimal)
+            assert len(paths) - len(minimal) <= MAX_VALIANT
 
 
 class TestMinimalEntries:
@@ -224,16 +224,6 @@ class TestSharedModel:
     def test_routing_splits_instances(self, topo, net):
         assert flow_route_model(topo, net, "min") is not flow_route_model(
             topo, net, "adp"
-        )
-
-    def test_params_split_instances(self, topo, net):
-        assert flow_route_model(
-            topo, net, "min", FlowParams(epoch_ns=100.0)
-        ) is not flow_route_model(topo, net, "min")
-
-    def test_default_params_normalise(self, topo, net):
-        assert flow_route_model(topo, net, "min") is flow_route_model(
-            topo, net, "min", FlowParams()
         )
 
 

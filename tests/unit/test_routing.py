@@ -100,10 +100,6 @@ class TestAdaptiveRouting:
     def test_modes_validate(self):
         with pytest.raises(ValueError):
             AdaptiveRouting(mode="global")
-        with pytest.raises(ValueError):
-            AdaptiveRouting(minimal_candidates=0)
-        with pytest.raises(ValueError):
-            AdaptiveRouting(nonminimal_weight=0.5)
 
     def test_path_mode_senses_downstream_congestion(self):
         local = AdaptiveRouting(seed=0, mode="local")
