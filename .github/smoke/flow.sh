@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Flow backend smoke: cross-fidelity check through the CLI, the
-# differential equivalence suite (object vs array fabric, scalar vs
-# vector fill, oracle fills and spill emulation), and the benchmark gate.
+# differential equivalence suite (object vs array fabric, oracle fills,
+# the array fabric's fill check and spill emulation), and the benchmark
+# gate.
 set -euo pipefail
 out=smoke-out
 mkdir -p "$out"
@@ -35,7 +36,8 @@ PY
 # (TestFabricEquivalence::test_fidelity_grid_object_vs_array).
 PYTHONPATH=src python -m pytest -q \
   tests/integration/test_flow_equivalence.py \
-  tests/unit/test_flow_vectorized.py \
+  tests/integration/test_golden_metrics.py::test_flow_grid_fills_match_scalar \
+  tests/unit/test_solver_properties.py \
   tests/unit/test_solver_oracle.py \
   tests/unit/test_fabric_array.py
 

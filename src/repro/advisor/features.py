@@ -259,7 +259,7 @@ class FeatureExtractor:
         model = self.model
         for i, j, size in zip(self._src, self._dst, self._pair_bytes):
             entry = model.entry(nodes[i], nodes[j])
-            cols, wgts, _lids = model.entry_arrays(entry)
+            cols, wgts = model.entry_arrays(entry)
             loads[cols] += wgts * size
             hops += entry.rr_hops * size
 

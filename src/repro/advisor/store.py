@@ -13,7 +13,10 @@ app name — and owns the contract that those traces match the ones the
 cache was warmed with (same ranks, same message scaling). The CI
 advisor-smoke job warms and trains in one script for exactly this
 reason; results whose app is unknown or whose rank count disagrees with
-the supplied trace are skipped and counted, never guessed at.
+the supplied trace are skipped and counted, never guessed at. So are
+results stamped with another :data:`~repro.exec.plan.CODE_SALT` (or
+none): a cache warmed before and after a salt bump holds each cell
+twice, once per salt, and only the current code's copy is a sample.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.advisor.model import RidgeSurrogate
 from repro.config import SimulationConfig
 from repro.core.runner import RunResult
 from repro.exec.cache import ResultCache
+from repro.exec.plan import CODE_SALT
 from repro.mpi.trace import JobTrace
 
 __all__ = ["TrainingSet", "build_training_set", "train_surrogate"]
@@ -67,8 +71,9 @@ def build_training_set(
 ) -> TrainingSet:
     """Featurize every usable result.
 
-    A result is usable when its app has a supplied trace of matching
-    rank count, it has per-rank node allocations, it is a single-job
+    A result is usable when the executor stamped it with the current
+    ``CODE_SALT``, its app has a supplied trace of matching rank count,
+    it has per-rank node allocations, it is a single-job
     run (epoch-merged cluster cells mix several jobs into one metric —
     no single placement to learn from), and its target metric is a
     positive finite number.
@@ -85,6 +90,9 @@ def build_training_set(
     for result in results:
         if not isinstance(result, RunResult):
             skip("not_a_run_result")
+            continue
+        if result.salt != CODE_SALT:
+            skip("stale_salt")
             continue
         if "epoch_jobs" in result.extra:
             skip("epoch_merged")

@@ -206,9 +206,6 @@ def simulate_epoch(
     )
     all_nodes = [n for _, nodes in placements for n in nodes]
     metrics = RunMetrics.from_run(cell.fabric, cell.topo, merged, all_nodes)
-    # Packet epoch cells do not read their routing counters yet (DESIGN.md
-    # §12): reading them changes cached results.
-    nonmin = cell.nonminimal_fraction if spec.backend == "flow" else 0.0
     return RunResult(
         app=spec.app,
         placement=spec.placement,
@@ -219,7 +216,7 @@ def simulate_epoch(
         nodes=all_nodes,
         sim_time_ns=cell.sim.now,
         events=cell.sim.events_run,
-        nonminimal_fraction=nonmin,
+        nonminimal_fraction=cell.nonminimal_fraction,
         extra={"epoch_jobs": per_job},
         backend=spec.backend,
         wall_s=time.perf_counter() - wall_start,

@@ -71,6 +71,10 @@ class RunResult:
     #: Host wall-clock seconds spent simulating this cell. Measurement
     #: only — never part of cache identity or determinism fingerprints.
     wall_s: float = 0.0
+    #: :data:`~repro.exec.plan.CODE_SALT` of the code that produced this
+    #: result, stamped by the executor; empty on results simulated
+    #: outside it and on cache entries written before results carried it.
+    salt: str = ""
 
     @property
     def label(self) -> str:

@@ -72,8 +72,14 @@ __all__ = [
 #: v8 = repro.mlcomms (the DL training app family: new collective
 #: expansions and app names share the cache namespace, so the bump
 #: keeps any pre-training-era cache from ever colliding with the new
-#: family's cells).
-CODE_SALT = "repro-exec/v8"
+#: family's cells); v9 = one max-min fill per flow fabric (the numpy
+#: fills that took solves of 96 or more units subtracted a round's
+#: frozen weight as one batched sum, the kept fills subtract it unit by
+#: unit, so flow results with link weights other than 1 and 1/2 may
+#: move in the last bits), packet epoch cells report their routing
+#: policy's non-minimal share instead of 0.0, and RunResult grew
+#: ``salt``.
+CODE_SALT = "repro-exec/v9"
 
 #: Default replay event budget, mirrored from ``run_single``.
 DEFAULT_MAX_EVENTS = 50_000_000

@@ -43,7 +43,7 @@ from pathlib import Path
 
 from repro.core.runner import RunResult, run_single
 from repro.exec.cache import ResultCache
-from repro.exec.plan import ExperimentPlan, RunSpec
+from repro.exec.plan import CODE_SALT, ExperimentPlan, RunSpec
 from repro.exec.progress import ProgressTracker
 from repro.mpi.trace import JobTrace
 
@@ -120,6 +120,15 @@ def _pool_entry(runner, config, spec, trace, timeout_s, keep_sends):
     if not keep_sends and getattr(result, "job", None) is not None:
         result.job.send_events = None
     return result, time.perf_counter() - start
+
+
+def _keep(cache, spec: RunSpec, result) -> None:
+    """Stamp a finished cell's result with the salt of its key, then
+    file it in the cache (if any)."""
+    if isinstance(result, RunResult):
+        result.salt = CODE_SALT
+    if cache is not None:
+        cache.put(spec.key, result)
 
 
 @dataclass
@@ -282,8 +291,7 @@ def _run_serial(
                 tracker.cell_failed(spec, repr(exc), wall, attempt)
                 break
             wall = time.perf_counter() - start
-            if cache is not None:
-                cache.put(spec.key, result)
+            _keep(cache, spec, result)
             outcomes[i] = CellOutcome(
                 spec, "done", result=result, attempts=attempt, wall_s=wall
             )
@@ -353,8 +361,7 @@ def _run_parallel(
                                 spec, repr(exc), attempt=attempts[i]
                             )
                         continue
-                    if cache is not None:
-                        cache.put(spec.key, result)
+                    _keep(cache, spec, result)
                     outcomes[i] = CellOutcome(
                         spec, "done", result=result,
                         attempts=attempts[i], wall_s=wall,

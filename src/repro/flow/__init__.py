@@ -17,7 +17,7 @@ from repro.flow.routes import (
     FlowEntry,
     FlowRouteModel,
 )
-from repro.flow.solver import solve_scalar, solve_vector
+from repro.flow.solver import solve_scalar
 
 __all__ = [
     "ArrayFlowFabric",
@@ -29,5 +29,4 @@ __all__ = [
     "fidelity_report",
     "kendall_tau",
     "solve_scalar",
-    "solve_vector",
 ]

@@ -69,7 +69,7 @@ from collections import deque
 from repro.config import NetworkParams
 from repro.engine.simulator import Simulator
 from repro.flow.routes import EPOCH_NS, flow_route_model
-from repro.flow.solver import solve_vector
+from repro.flow.solver import solve_scalar
 from repro.network.packet import Message
 from repro.topology.dragonfly import Dragonfly
 
@@ -446,6 +446,6 @@ class FlowFabric:
 
     def _solve(self) -> None:
         """Weighted max-min rates for the active units (progressive
-        filling), delegated to :func:`~repro.flow.solver.solve_vector`.
+        filling), delegated to :func:`~repro.flow.solver.solve_scalar`.
         """
-        self._saturated = solve_vector(self._active, self.bw)
+        self._saturated = solve_scalar(self._active, self.bw)

@@ -1,24 +1,19 @@
-"""Array-state flow fabric: the vectorized production twin of
+"""Array-state flow fabric: the production twin of
 :class:`~repro.flow.fabric.FlowFabric`.
 
 Same fluid model, same event semantics, same metric surface — but the
 per-flow/per-unit object graph is replaced by slot-indexed parallel
-state plus an *incremental* unit→link CSR, so the per-update cost no
-longer rebuilds the incidence from ``_Unit`` objects on every solve:
+lists, and the max-min fill's per-link aggregates are maintained across
+admission and finish instead of rebuilt on every solve:
 
-* Per-link state (``_tx``/``_load``/``sat_ns``) lives in numpy arrays;
-  ledger and byte scatter run as fancy-index accumulation over each
-  unit's pre-built ``(cols, wgts)`` columns (from
-  :meth:`~repro.flow.routes.FlowRouteModel.entry_arrays`), or as one
-  ``np.subtract.at`` over the live CSR rows when the active set is
-  large.
+* Per-link state (``_tx``/``_load``/``sat_ns``) lives in plain lists;
+  each unit touches a handful of links, where an indexed Python loop
+  beats numpy's per-call dispatch.
 * Link aggregates (weight sum, unit count, user lists, distinct-flow
-  crossings) are maintained at admission/finish, so a solve starts
-  from dict copies instead of an O(active nnz) rebuild.
-* The CSR itself (``cols``/``wgts``/owning unit/live mask) is appended
-  at admission and tombstoned at finish, with amortised compaction
-  once dead columns outnumber live ones — solve and settle above the
-  adaptive dispatch floor run bincount/scatter over it directly.
+  crossings) are maintained at admission/finish, so a solve resets a
+  few scratch slots per link instead of an O(active nnz) rebuild. One
+  list-record fill (:meth:`ArrayFlowFabric._solve`) runs at every
+  size.
 * Transmitted-byte and hop/latency/nonmin accounting is *deferred*:
   settle accumulates one scalar (bytes moved) per unit, and the
   per-link scatter happens once at flow finish (and at
@@ -57,12 +52,10 @@ from __future__ import annotations
 import math
 from collections import deque
 
-import numpy as np
-
 from repro.config import NetworkParams
 from repro.engine.simulator import Simulator
 from repro.flow.routes import EPOCH_NS, flow_route_model
-from repro.flow.solver import SAT_RTOL, VECTOR_MIN_UNITS, _BOTTLENECK_RTOL, _W_EPS
+from repro.flow.solver import SAT_RTOL, _BOTTLENECK_RTOL, _W_EPS
 from repro.network.packet import Message
 from repro.topology.dragonfly import Dragonfly
 
@@ -86,21 +79,14 @@ class ArrayFlowFabric:
         topo: Dragonfly,
         net: NetworkParams,
         routing: str,
-        vec_min_units: int = VECTOR_MIN_UNITS,
     ) -> None:
         self.sim = sim
         self.topo = topo
         self.net = net
         self.routes = flow_route_model(topo, net, routing)
-        #: Adaptive dispatch floor for the CSR settle/solve paths; the
-        #: same break-even as the standalone vector solver. Tests pin
-        #: it to 0 to force the vector paths at every size.
-        self._vec_min = vec_min_units
 
         n_links = topo.num_links
-        self._n_links = n_links
         bw_arr, lat_arr, _buf = topo.link_profiles(net)
-        self._bw_np = np.asarray(bw_arr, dtype=np.float64)
         self.bw: list[float] = bw_arr.tolist()
         self.lat: list[float] = (lat_arr + net.router_delay_ns).tolist()
         #: Per-link fill thresholds, hoisted out of the solve setup
@@ -111,10 +97,7 @@ class ArrayFlowFabric:
         self._bw_stol: list[float] = [b * SAT_RTOL for b in self.bw]
 
         self.bytes_tx: list[int] = [0] * n_links
-        #: Deferred float byte counters, flushed per flow. Plain lists:
-        #: the hot paths touch a handful of links per unit, where a
-        #: Python indexed loop beats numpy's per-call dispatch by ~5x
-        #: (the CSR paths go vectorized only past ``vec_min_units``).
+        #: Deferred float byte counters, flushed per flow.
         self._tx: list[float] = [0.0] * n_links
         self.sat_ns: list[float] = [0.0] * n_links
         self.queued_bytes: list[int] = [0] * n_links
@@ -146,8 +129,6 @@ class ArrayFlowFabric:
         self._f_links: list[tuple[int, ...]] = []
 
         # --- slot-indexed unit state ---------------------------------
-        self._u_cols: list = []  # np.intp columns (shared, read-only)
-        self._u_wgts: list = []  # np.float64 weights (shared)
         self._u_links: list[tuple[tuple[int, float], ...]] = []
         self._u_hops: list[float] = []
         self._u_lat: list[float] = []
@@ -158,8 +139,6 @@ class ArrayFlowFabric:
         self._u_moved: list[float] = []
         #: Pending-ledger share still attributed to this unit.
         self._u_left: list[float] = []
-        #: ``(start, end)`` span of the unit's columns in the CSR.
-        self._u_span: list[tuple[int, int]] = []
 
         # --- incremental link aggregates (admitted units only) -------
         #: link -> one flat record holding both the maintained
@@ -175,23 +154,6 @@ class ArrayFlowFabric:
         #:        keys -> None), so finish removes in O(1).
         self._lrec: dict[int, list] = {}
         self._lx: dict[int, int] = {}  # link -> distinct-flow crossings
-
-        # --- incremental CSR (admitted units' columns) ---------------
-        cap0 = 256
-        self._csr_cols = np.empty(cap0, dtype=np.intp)
-        self._csr_wgts = np.empty(cap0, dtype=np.float64)
-        self._csr_unit = np.empty(cap0, dtype=np.intp)
-        self._csr_live = np.zeros(cap0, dtype=bool)
-        self._csr_n = 0
-        self._csr_dead = 0
-
-        # uslot-indexed numpy scratch for the large paths (grown with
-        # the slot count; contents are transient per call).
-        self._scr_f8 = np.zeros(cap0, dtype=np.float64)
-        self._scr_ip = np.zeros(cap0, dtype=np.intp)
-        #: link-id -> active-local index scratch for the large solve
-        #: (only entries for currently crossed links are ever read).
-        self._scr_link = np.zeros(n_links, dtype=np.intp)
 
         self._act_flows: list[int] = []
         self._act_units: list[int] = []
@@ -233,10 +195,7 @@ class ArrayFlowFabric:
         adaptive = self._adaptive
         lid_seen: set[int] = set()
         for e in entries:
-            cols, wgts, lids = routes.entry_arrays(e)
-            us = len(self._u_cols)
-            self._u_cols.append(cols)
-            self._u_wgts.append(wgts)
+            us = len(self._u_links)
             self._u_links.append(e.links)
             self._u_hops.append(e.rr_hops)
             self._u_lat.append(e.latency_ns)
@@ -244,18 +203,13 @@ class ArrayFlowFabric:
             self._u_rate.append(0.0)
             self._u_moved.append(0.0)
             self._u_left.append(share)
-            self._u_span.append((0, 0))
             uslots.append(us)
-            lid_seen.update(lids)
+            lid_seen.update([lid for lid, _w in e.links])
             if adaptive:
                 # Same per-element ledger add as the object fabric's
                 # unit loop — this feeds UGAL and must stay bit-exact.
                 for lid, w in e.links:
                     load[lid] += w * share
-        if len(self._u_cols) > len(self._scr_f8):
-            grow = max(len(self._u_cols), 2 * len(self._scr_f8))
-            self._scr_f8 = np.zeros(grow, dtype=np.float64)
-            self._scr_ip = np.zeros(grow, dtype=np.intp)
 
         fs = len(self._f_msg)
         self._f_msg.append(msg)
@@ -282,9 +236,8 @@ class ArrayFlowFabric:
         # Flush every active unit's deferred bytes so _tx is complete.
         for fs in self._act_flows:
             self._flush(fs)
-        self.bytes_tx = (
-            np.rint(np.asarray(self._tx)).astype(np.int64).tolist()
-        )
+        # round() is half-to-even, as the object fabric's counters are.
+        self.bytes_tx = [round(b) for b in self._tx]
 
     @property
     def nonminimal_fraction(self) -> float:
@@ -355,118 +308,45 @@ class ArrayFlowFabric:
             return
         act = self._act_flows
         if act:
-            if self._adaptive and len(self._act_units) >= self._vec_min:
-                self._settle_vec(dt)
-            else:
-                f_rate = self._f_rate
-                f_rem = self._f_remaining
-                f_units = self._f_units
-                u_rate = self._u_rate
-                u_moved = self._u_moved
-                u_left = self._u_left
-                u_links = self._u_links
-                adaptive = self._adaptive
-                load = self._load
-                for fs in act:
-                    rate = f_rate[fs]
-                    if rate <= 0.0:
+            f_rate = self._f_rate
+            f_rem = self._f_remaining
+            f_units = self._f_units
+            u_rate = self._u_rate
+            u_moved = self._u_moved
+            u_left = self._u_left
+            u_links = self._u_links
+            adaptive = self._adaptive
+            load = self._load
+            for fs in act:
+                rate = f_rate[fs]
+                if rate <= 0.0:
+                    continue
+                raw = rate * dt
+                rem = f_rem[fs]
+                scale = 1.0
+                if raw > rem:
+                    scale = rem / raw
+                f_rem[fs] = rem - raw * scale
+                for us in f_units[fs]:
+                    moved = u_rate[us] * dt * scale
+                    if moved <= 0.0:
                         continue
-                    raw = rate * dt
-                    rem = f_rem[fs]
-                    scale = 1.0
-                    if raw > rem:
-                        scale = rem / raw
-                    f_rem[fs] = rem - raw * scale
-                    for us in f_units[fs]:
-                        moved = u_rate[us] * dt * scale
-                        if moved <= 0.0:
-                            continue
-                        u_moved[us] += moved
-                        if adaptive:
-                            left = u_left[us]
-                            if moved < left:
-                                dec = moved
-                                u_left[us] = left - moved
-                            else:
-                                dec = left
-                                u_left[us] = 0.0
-                            if dec != 0.0:
-                                for lid, w in u_links[us]:
-                                    load[lid] -= w * dec
+                    u_moved[us] += moved
+                    if adaptive:
+                        left = u_left[us]
+                        if moved < left:
+                            dec = moved
+                            u_left[us] = left - moved
+                        else:
+                            dec = left
+                            u_left[us] = 0.0
+                        if dec != 0.0:
+                            for lid, w in u_links[us]:
+                                load[lid] -= w * dec
             if self._saturated:
                 sat_ns = self.sat_ns
                 for lid in self._saturated:
                     sat_ns[lid] += dt
-
-    def _settle_vec(self, dt: float) -> None:
-        """Vectorized settle: gather rates, cap per flow, scatter the
-        capped ledger decrement over the live CSR in one
-        ``np.subtract.at``.
-
-        ``subtract.at`` applies its operands sequentially in column
-        order; live CSR columns sit in admission order (appends at
-        admit, whole-unit tombstones at finish, order-preserving
-        compaction), which is exactly the unit-by-unit order of the
-        object fabric's settle loop — so the ledger stays bit-exact.
-        """
-        act = self._act_flows
-        act_u = self._act_units
-        n_f = len(act)
-        n_u = len(act_u)
-        f_rate = self._f_rate
-        f_rem = self._f_remaining
-        rate_f = np.fromiter((f_rate[fs] for fs in act), np.float64, n_f)
-        rem_f = np.fromiter((f_rem[fs] for fs in act), np.float64, n_f)
-        raw = rate_f * dt
-        capped = raw > rem_f
-        scale_f = np.where(capped, rem_f / np.where(raw > 0.0, raw, 1.0), 1.0)
-        # Guard rate<=0 rows: the scalar loop skips them before the cap.
-        scale_f[rate_f <= 0.0] = 0.0
-        rem_new = rem_f - raw * scale_f
-        for i, fs in enumerate(act):
-            if rate_f[i] > 0.0:
-                f_rem[fs] = rem_new[i]
-
-        # Per-unit moved bytes and capped ledger decrement.
-        u_rate = self._u_rate
-        u_left = self._u_left
-        u_moved = self._u_moved
-        f_units = self._f_units
-        # unit -> owning active-flow row
-        uscale = np.empty(n_u, dtype=np.float64)
-        k = 0
-        for i, fs in enumerate(act):
-            s = scale_f[i]
-            for _us in f_units[fs]:
-                uscale[k] = s
-                k += 1
-        rate_u = np.fromiter((u_rate[us] for us in act_u), np.float64, n_u)
-        left_u = np.fromiter((u_left[us] for us in act_u), np.float64, n_u)
-        moved = rate_u * dt * uscale
-        pos = moved > 0.0
-        moved[~pos] = 0.0
-        take = pos & (moved < left_u)
-        dec = np.where(take, moved, np.where(pos, left_u, 0.0))
-        left_new = np.where(take, left_u - moved, np.where(pos, 0.0, left_u))
-        for i, us in enumerate(act_u):
-            if pos[i]:
-                u_moved[us] += moved[i]
-                u_left[us] = left_new[i]
-
-        # Scatter dec over the live CSR (admission order, sequential).
-        # ``subtract.at`` on a faithful copy of the list ledger keeps
-        # the per-element op order — and the float values — bit-exact
-        # with the scalar loop; the round-trip through float64 is the
-        # identity.
-        scr = self._scr_f8
-        scr[np.fromiter(act_u, np.intp, n_u)] = dec
-        n = self._csr_n
-        live = np.nonzero(self._csr_live[:n])[0]
-        cols = self._csr_cols[live]
-        vals = self._csr_wgts[live] * scr[self._csr_unit[live]]
-        ld = np.asarray(self._load)
-        np.subtract.at(ld, cols, vals)
-        self._load = ld.tolist()
 
     def _update(self) -> None:
         """Settle, fire completions, admit arrivals, re-solve, re-arm."""
@@ -519,7 +399,7 @@ class ArrayFlowFabric:
     def _apply_delta(
         self, finished: list[int], admitted: list[int], departed: set[int]
     ) -> None:
-        """Fold a membership delta into the aggregates/CSR and re-rate.
+        """Fold a membership delta into the link aggregates and re-rate.
 
         The staying flows keep their rates when every departed and
         admitted link is disjoint from them (max-min allocations are
@@ -560,13 +440,10 @@ class ArrayFlowFabric:
             if admitted:
                 self._solve_subset(admitted)
             return
-        if len(self._act_units) >= self._vec_min:
-            self._solve_large()
-        else:
-            self._solve_small()
+        self._solve()
 
     def _insert(self, fs: int) -> None:
-        """Add an admitted flow's units to the aggregates and CSR."""
+        """Add an admitted flow's units to the link aggregates."""
         lrec = self._lrec
         btol = self._bw_btol
         stol = self._bw_stol
@@ -584,51 +461,9 @@ class ArrayFlowFabric:
                         0.0, 0.0, btol[lid], 0, lid, stol[lid],
                         False, w, bw[lid], 1, {us: None},
                     ]
-            self._csr_append(us)
         lx = self._lx
         for lid in self._f_links[fs]:
             lx[lid] = lx.get(lid, 0) + 1
-
-    def _csr_append(self, us: int) -> None:
-        cols = self._u_cols[us]
-        k = len(cols)
-        n = self._csr_n
-        cap = len(self._csr_cols)
-        if n + k > cap:
-            new_cap = max(n + k, 2 * cap)
-            for name in ("_csr_cols", "_csr_wgts", "_csr_unit", "_csr_live"):
-                old = getattr(self, name)
-                buf = np.zeros(new_cap, dtype=old.dtype)
-                buf[:n] = old[:n]
-                setattr(self, name, buf)
-        self._csr_cols[n : n + k] = cols
-        self._csr_wgts[n : n + k] = self._u_wgts[us]
-        self._csr_unit[n : n + k] = us
-        self._csr_live[n : n + k] = True
-        self._u_span[us] = (n, n + k)
-        self._csr_n = n + k
-
-    def _csr_compact(self) -> None:
-        """Drop tombstoned columns, preserving admission order."""
-        n = self._csr_n
-        live = self._csr_live[:n]
-        m = int(np.count_nonzero(live))
-        self._csr_cols[:m] = self._csr_cols[:n][live]
-        self._csr_wgts[:m] = self._csr_wgts[:n][live]
-        unit = self._csr_unit[:n][live]
-        self._csr_unit[:m] = unit
-        self._csr_live[:m] = True
-        self._csr_live[m:n] = False
-        self._csr_n = m
-        self._csr_dead = 0
-        # Re-derive the per-unit spans from the compacted run bounds.
-        if m:
-            bounds = np.flatnonzero(np.diff(unit)) + 1
-            starts = [0, *bounds.tolist()]
-            ends = [*bounds.tolist(), m]
-            u_span = self._u_span
-            for s, e in zip(starts, ends):
-                u_span[int(unit[s])] = (s, e)
 
     def _finish(self, fs: int, now: float, departed: set[int]) -> None:
         """The flow drained: last byte has left the source NIC."""
@@ -659,9 +494,6 @@ class ArrayFlowFabric:
                     rec[9] = c
                     rec[7] -= w
                     del rec[10][us]
-            s, e = self._u_span[us]
-            self._csr_live[s:e] = False
-            self._csr_dead += e - s
         lx = self._lx
         for lid in self._f_links[fs]:
             x = lx[lid] - 1
@@ -670,12 +502,6 @@ class ArrayFlowFabric:
             else:
                 lx[lid] = x
             departed.add(lid)
-        # Compact when the dead majority is also big enough to be worth
-        # the pass — at tiny occupancies the dead>live rule alone would
-        # thrash a compaction on nearly every finish.
-        dead = self._csr_dead
-        if dead > 128 and dead > self._csr_n - dead:
-            self._csr_compact()
 
         src = msg.src_node
         queue = self._nic_queue.get(src)
@@ -716,9 +542,9 @@ class ArrayFlowFabric:
         self._saturated = sat
         self._sat_set = set(sat)
 
-    def _solve_small(self) -> None:
-        """Progressive filling from copies of the maintained aggregates
-        (the incremental twin of ``solve_scalar``).
+    def _solve(self) -> None:
+        """Progressive filling from the maintained aggregates (the
+        incremental twin of ``solve_scalar``), at every size.
 
         Per-link fill state lives in the maintained ``_lrec`` records
         (see ``__init__``): a solve resets the three scratch slots
@@ -903,98 +729,3 @@ class ArrayFlowFabric:
         ]
         if new_sat:
             self._set_saturated(sorted(self._saturated + new_sat))
-
-    def _solve_large(self) -> None:
-        """Vectorized progressive filling over the live CSR (the
-        incremental twin of ``solve_vector``, in global link space)."""
-        act_units = self._act_units
-        n_act = len(act_units)
-        au = np.fromiter(act_units, np.intp, n_act)
-        if n_act == 1:
-            # Closed form: one round, and a lone flow is never a
-            # *contended* bottleneck.
-            us = act_units[0]
-            best = math.inf
-            bw = self.bw
-            for lid, w in self._u_links[us]:
-                if w > _W_EPS:
-                    t = bw[lid] / w
-                    if t < best:
-                        best = t
-            self._u_rate[us] = 0.0 if best is math.inf else best
-            fs = self._act_flows[0]
-            self._f_rate[fs] = self._u_rate[us]
-            self._set_saturated([])
-            return
-
-        n = self._csr_n
-        live = np.nonzero(self._csr_live[:n])[0]
-        cols = self._csr_cols[live]
-        wgts = self._csr_wgts[live]
-        loc = self._scr_ip
-        loc[au] = np.arange(n_act, dtype=np.intp)
-        rows = loc[self._csr_unit[live]]
-
-        # Work in *active-local* link space: per-round arrays span only
-        # the links currently crossed (``_lrec`` keys, admission order),
-        # not the whole topology — the bincounts keep the same
-        # accumulation order (CSR order), so the fill is bit-equal to
-        # the global-space version.
-        uniq = np.fromiter(self._lrec, np.intp, len(self._lrec))
-        n_loc = len(uniq)
-        lmap = self._scr_link
-        lmap[uniq] = np.arange(n_loc, dtype=np.intp)
-        lcols = lmap[cols]
-        cap = self._bw_np[uniq]
-        weight = np.bincount(lcols, weights=wgts, minlength=n_loc)
-        count = np.bincount(lcols, minlength=n_loc)
-        residual = cap.copy()
-        rates = np.full(n_act, -1.0)
-        unfrozen = np.ones(n_act, dtype=bool)
-
-        base = 0.0
-        while unfrozen.any():
-            shared = weight > _W_EPS
-            if not shared.any():  # pragma: no cover - defensive
-                break
-            step = float(np.min(residual[shared] / weight[shared]))
-            if not math.isfinite(step):  # pragma: no cover - defensive
-                break
-            base += step
-            residual[shared] = residual[shared] - weight[shared] * step
-            bottleneck = shared & (residual <= cap * _BOTTLENECK_RTOL)
-            if not bottleneck.any():  # pragma: no cover - defensive
-                break
-            hits = np.bincount(
-                rows, weights=bottleneck[lcols], minlength=n_act
-            ) > 0.0
-            newly = unfrozen & hits
-            if not newly.any():  # pragma: no cover - defensive
-                break
-            rates[newly] = base
-            unfrozen &= ~newly
-            sel = newly[rows]
-            weight = weight - np.bincount(
-                lcols[sel], weights=wgts[sel], minlength=n_loc
-            )
-            count = count - np.bincount(lcols[sel], minlength=n_loc)
-            weight[count == 0] = 0.0
-
-        u_rate = self._u_rate
-        for i in range(n_act):
-            r = rates[i]
-            u_rate[act_units[i]] = base if r < 0.0 else float(r)
-        f_rate = self._f_rate
-        f_units = self._f_units
-        for fs in self._act_flows:
-            rate = 0.0
-            for us in f_units[fs]:
-                rate += u_rate[us]
-            f_rate[fs] = rate
-
-        lx = self._lx
-        sat_loc = np.nonzero(residual <= cap * SAT_RTOL)[0]
-        sat = sorted(
-            lid for lid in map(int, uniq[sat_loc]) if lx[lid] >= 2
-        )
-        self._set_saturated(sat)

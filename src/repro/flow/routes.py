@@ -138,19 +138,16 @@ class FlowRouteModel:
         #: tuples plus a compacted first-link index (see `_fast_rows`).
         self._fast_scoring: dict[tuple[int, int, int], tuple] = {}
         #: ``id(entry)`` -> (entry, link-id column, weight column) as
-        #: numpy arrays, for the array fabric's scatter ops. Keyed by
+        #: numpy arrays, for the advisor's load scatter. Keyed by
         #: identity (entries are interned in the memos above, which
         #: keeps the ids alive) because hashing a links tuple per lookup
         #: would cost more than the arrays save.
-        self._entry_arrays: dict[int, tuple[FlowEntry, Any, Any, tuple]] = {}
+        self._entry_arrays: dict[int, tuple[FlowEntry, Any, Any]] = {}
 
-    def entry_arrays(self, entry: FlowEntry) -> tuple[Any, Any, tuple]:
-        """``(cols, wgts, lids)`` for an entry's link set.
-
-        ``cols``/``wgts`` are parallel numpy arrays of the entry's link
-        ids and weights (for vectorized fancy-index accumulation);
-        ``lids`` is the plain link-id tuple (for crossing counts).
-        Memoised per entry instance.
+    def entry_arrays(self, entry: FlowEntry) -> tuple[Any, Any]:
+        """``(cols, wgts)``: the entry's link ids and weights as
+        parallel numpy arrays, for fancy-index accumulation. Memoised
+        per entry instance.
         """
         key = id(entry)
         hit = self._entry_arrays.get(key)
@@ -161,10 +158,9 @@ class FlowRouteModel:
             wgts = np.fromiter(
                 (w for _, w in links), dtype=np.float64, count=n
             )
-            lids = tuple(l for l, _ in links)
-            hit = (entry, cols, wgts, lids)
+            hit = (entry, cols, wgts)
             self._entry_arrays[key] = hit
-        return hit[1], hit[2], hit[3]
+        return hit[1], hit[2]
 
     def entry(self, src_node: int, dst_node: int) -> FlowEntry:
         """The minimal aggregate entry (uniform over candidates)."""

@@ -1,42 +1,26 @@
-"""Weighted max-min progressive-filling solvers for the flow fabric.
+"""Weighted max-min progressive filling for the object flow fabric.
 
-The rate-allocation step behind :meth:`~repro.flow.fabric.FlowFabric._solve`
-is :func:`solve_vector`, which hands instances below
-:data:`VECTOR_MIN_UNITS` to :func:`solve_scalar`:
+:func:`solve_scalar` is the rate-allocation step behind
+:meth:`~repro.flow.fabric.FlowFabric._solve`: grow a uniform base rate
+across all unfrozen units, freeze every unit crossing the first
+link(s) to saturate, remove their weight, and repeat on the residual
+network. It is a pure-Python fill over one list record per crossed
+link, bit-identical to the historical in-fabric loop, which
+``tests/flow_oracle.py`` keeps as the differential oracle; the array
+fabric's incremental fill (``ArrayFlowFabric._solve``) shares its
+record layout and constants. Links are retired by an integer
+unfrozen-user *count* instead of by their floating-point weight
+draining below ``_W_EPS``: unit-by-unit cancellation can leave ~1e-16
+of residue on an emptied link, keeping it "shared" at residual 0 and
+tripping the defensive no-progress break — freezing the tail of the
+allocation at a premature base rate (found by the differential
+harness; the property suite's bottleneck-condition test guards it).
 
-* :func:`solve_scalar` — a pure-Python fill over one list record per
-  crossed link, bit-identical to the historical in-fabric loop, which
-  ``tests/flow_oracle.py`` keeps as the differential oracle. Links are
-  retired by an integer unfrozen-user *count* instead of by their
-  floating-point weight draining below ``_W_EPS``: unit-by-unit
-  cancellation can leave ~1e-16 of residue on an emptied link, keeping
-  it "shared" at residual 0 and tripping the defensive no-progress
-  break — freezing the tail of the allocation at a premature base rate
-  (found by the differential harness; both solvers carry the fix, and
-  the property suite's bottleneck-condition test guards it).
-* :func:`solve_vector` — the same algorithm restructured over numpy
-  arrays: the flow–link incidence is assembled once per solve in
-  CSR-like form (``indptr`` + per-nonzero link index/weight columns),
-  and each filling round detects every bottleneck link and freezes
-  every affected unit with vectorized reductions instead of per-link
-  Python loops.
-
-Both compute the same allocation: grow a uniform base rate across all
-unfrozen units, freeze every unit crossing the first link(s) to
-saturate, remove their weight, and repeat on the residual network. The
-implementations differ only in floating-point *accumulation order*
-(the vector path subtracts a round's frozen weight as one batched sum,
-the scalar path unit by unit), so results agree to relative error far
-below ``1e-9`` but are not guaranteed bit-identical;
-:data:`~repro.exec.plan.CODE_SALT` was bumped when the fabric moved to
-``solve_vector``.
-
-Contract shared by both solvers: given the active flows and the global
-per-link capacity table, set ``unit.rate`` on every unit and ``f.rate``
-(the sum of its units) on every flow, and return the sorted global link
-ids that are *contended bottlenecks* — allocated to capacity with two
-or more distinct flows crossing — which is the fabric's saturation
-proxy.
+Contract: given the active flows and the global per-link capacity
+table, set ``unit.rate`` on every unit and ``f.rate`` (the sum of its
+units) on every flow, and return the sorted global link ids that are
+*contended bottlenecks* — allocated to capacity with two or more
+distinct flows crossing — which is the fabric's saturation proxy.
 """
 
 from __future__ import annotations
@@ -44,12 +28,9 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
-import numpy as np
-
 __all__ = [
     "SAT_RTOL",
     "solve_scalar",
-    "solve_vector",
 ]
 
 #: Relative tolerance for "this link is saturated" in the solvers and
@@ -69,7 +50,7 @@ def solve_scalar(flows: Sequence[Any], bw: Sequence[float]) -> list[int]:
     """Progressive filling over one flat record per crossed link.
 
     The record layout, hoisted thresholds and retired-link compaction
-    are those of ``ArrayFlowFabric._solve_small``, but assembly runs
+    are those of ``ArrayFlowFabric._solve``, but assembly runs
     from scratch on every call, visiting links in first-touch order
     (fixed by flow admission order, itself fixed by the simulator's
     total event order). Every float operation and its order is that of
@@ -189,140 +170,5 @@ def solve_scalar(flows: Sequence[Any], bw: Sequence[float]) -> list[int]:
     # is healthy progress, not congestion (the packet model's buffers
     # never fill there either).
     saturated = [rec[4] for rec in sat_cand if rec[6] >= 2]
-    saturated.sort()
-    return saturated
-
-
-#: Adaptive-dispatch floor for the numpy path: measured break-even on
-#: random instances is ~128 units (x86_64, numpy 2.x); below it the
-#: scalar loop is strictly faster (up to 5x at typical grid sizes of
-#: 4-30 units), so :func:`solve_vector` delegates small solves to
-#: :func:`solve_scalar`. Delegated solves are *bit-identical* to the
-#: reference by construction; the differential harness forces the numpy
-#: path with ``min_units=0`` to test it at every size.
-VECTOR_MIN_UNITS = 96
-
-
-def solve_vector(
-    flows: Sequence[Any],
-    bw: Sequence[float],
-    min_units: int = VECTOR_MIN_UNITS,
-) -> list[int]:
-    """Vectorized progressive filling over a CSR-like incidence.
-
-    Same allocation as :func:`solve_scalar` up to floating-point
-    accumulation order (see module docstring); per-round bottleneck
-    detection and unit freezing run as numpy reductions. Instances
-    below ``min_units`` total units dispatch to the scalar loop, which
-    is faster there (see :data:`VECTOR_MIN_UNITS`).
-    """
-    saturated: list[int] = []
-    if not flows:
-        return saturated
-    if min_units > 1:
-        n = 0
-        for f in flows:
-            n += len(f.units)
-            if n >= min_units:
-                break
-        if n < min_units:
-            return solve_scalar(flows, bw)
-
-    # --- assembly: units, compacted links, CSR incidence --------------
-    units: list[Any] = []
-    lid_of: dict[int, int] = {}  # global link id -> compact column
-    glids: list[int] = []
-    crossings: list[int] = []
-    last_flow: list[int] = []
-    cols: list[int] = []
-    wvals: list[float] = []
-    indptr: list[int] = [0]
-    for fi, f in enumerate(flows):
-        for unit in f.units:
-            units.append(unit)
-            for lid, w in unit.links:
-                li = lid_of.get(lid)
-                if li is None:
-                    li = len(glids)
-                    lid_of[lid] = li
-                    glids.append(lid)
-                    crossings.append(0)
-                    last_flow.append(-1)
-                cols.append(li)
-                wvals.append(w)
-                if last_flow[li] != fi:
-                    last_flow[li] = fi
-                    crossings[li] += 1
-            indptr.append(len(cols))
-
-    n_units = len(units)
-    if n_units == 1:
-        # Closed form, exact: one filling round, step = min(bw/w), and a
-        # single flow can never make a link a *contended* bottleneck.
-        unit = units[0]
-        best = math.inf
-        for lid, w in unit.links:
-            if w > _W_EPS:
-                t = bw[lid] / w
-                if t < best:
-                    best = t
-        unit.rate = 0.0 if best is math.inf else best
-        flows[0].rate = unit.rate
-        return saturated
-
-    n_links = len(glids)
-    col = np.asarray(cols, dtype=np.intp)
-    wgt = np.asarray(wvals, dtype=np.float64)
-    ptr = np.asarray(indptr, dtype=np.intp)
-    row_unit = np.repeat(np.arange(n_units, dtype=np.intp), np.diff(ptr))
-    cap = np.asarray([bw[g] for g in glids], dtype=np.float64)
-
-    weight = np.bincount(col, weights=wgt, minlength=n_links)
-    count = np.bincount(col, minlength=n_links)
-    residual = cap.copy()
-    rates = np.full(n_units, -1.0)
-    unfrozen = np.ones(n_units, dtype=bool)
-
-    base = 0.0
-    while unfrozen.any():
-        shared = weight > _W_EPS
-        if not shared.any():  # pragma: no cover - defensive
-            break
-        step = float(np.min(residual[shared] / weight[shared]))
-        if not math.isfinite(step):  # pragma: no cover - defensive
-            break
-        base += step
-        residual[shared] = residual[shared] - weight[shared] * step
-        bottleneck = shared & (residual <= cap * _BOTTLENECK_RTOL)
-        if not bottleneck.any():  # pragma: no cover - defensive
-            break
-        # A unit freezes when any of its links hit a bottleneck.
-        hits = np.bitwise_or.reduceat(bottleneck[col], ptr[:-1])
-        newly = unfrozen & hits
-        if not newly.any():  # pragma: no cover - defensive
-            break
-        rates[newly] = base
-        unfrozen &= ~newly
-        sel = newly[row_unit]
-        weight = weight - np.bincount(
-            col[sel], weights=wgt[sel], minlength=n_links
-        )
-        count = count - np.bincount(col[sel], minlength=n_links)
-        # Retire emptied links exactly (see the scalar loop's note on
-        # float residue after cancellation).
-        weight[count == 0] = 0.0
-
-    for k, unit in enumerate(units):
-        r = rates[k]
-        unit.rate = base if r < 0.0 else float(r)
-    for f in flows:
-        rate = 0.0
-        for unit in f.units:
-            rate += unit.rate
-        f.rate = rate
-
-    for li in range(n_links):
-        if crossings[li] >= 2 and residual[li] <= cap[li] * SAT_RTOL:
-            saturated.append(glids[li])
     saturated.sort()
     return saturated

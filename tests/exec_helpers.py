@@ -17,7 +17,7 @@ import numpy as np
 
 import repro
 from repro.core.runner import RunResult
-from repro.exec.plan import ExperimentPlan, plan_grid
+from repro.exec.plan import CODE_SALT, ExperimentPlan, plan_grid
 from repro.metrics.collector import RunMetrics
 from repro.mpi.trace import JobTrace, RankTrace
 
@@ -32,7 +32,8 @@ def tiny_trace(name: str = "T") -> JobTrace:
 
 
 def make_stub_result(spec) -> RunResult:
-    """A minimal but structurally complete RunResult for a spec."""
+    """A minimal but structurally complete RunResult for a spec, stamped
+    with the current salt as the executor stamps what it simulates."""
     arr = np.zeros(2)
     metrics = RunMetrics(arr, arr, arr, arr, arr, arr)
     return RunResult(
@@ -45,6 +46,7 @@ def make_stub_result(spec) -> RunResult:
         nodes=[0, 1],
         sim_time_ns=1.0,
         events=1,
+        salt=CODE_SALT,
     )
 
 

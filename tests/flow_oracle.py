@@ -4,17 +4,23 @@
 ``repro.flow.solver.solve_scalar`` used to be, verbatim. Production
 ``solve_scalar`` restructures it into per-link list records with the
 same float operations in the same order, so the two must agree with
-``==`` on every unit rate, flow rate and saturated link; the numpy
-``solve_vector`` path is measured against it to relative error.
+``==`` on every unit rate, flow rate and saturated link.
+
+:func:`check_fill` holds the array fabric's incremental fill to the
+same standard: after a full solve, its rates and saturated links must
+equal (``==``) a from-scratch ``solve_scalar`` of its active units,
+and form a max-min allocation (capacity feasibility and the bottleneck
+condition). :func:`checked_array_fabric` runs it after every full
+solve, at every size; :func:`use_checked_fabric` puts that fabric under
+``run_single``.
 
 :func:`spill_oracle` is the straightforward UGAL-L spill emulation
 (scoring rows plus a backlog dict) that
 ``FlowRouteModel.spill_fast`` restructures; the two must return the
 identical tuple of entries.
 
-:func:`use_object_fabric` and :func:`use_scalar_solver` reach the
-alternatives production no longer selects: ``run_single`` on the object
-fabric, and the object fabric on the pure scalar fill.
+:func:`use_object_fabric` reaches the alternative production no longer
+selects for ``run_single``: the object fabric.
 
 The synthetic flow/unit stand-ins and instance builders below feed the
 solver harnesses.
@@ -26,6 +32,7 @@ import math
 from typing import Any, Sequence
 
 from repro.flow.fabric import FlowFabric
+from repro.flow.fabric_array import ArrayFlowFabric
 from repro.flow.routes import SPILL_QUANTA, FlowEntry, FlowRouteModel
 from repro.flow.solver import _BOTTLENECK_RTOL, _W_EPS, SAT_RTOL, solve_scalar
 from repro.routing import MINIMAL_BIAS_NS, NONMINIMAL_WEIGHT
@@ -34,13 +41,16 @@ __all__ = [
     "F",
     "U",
     "build",
+    "check_fill",
+    "checked_array_fabric",
     "emulate_oracle",
+    "link_loads",
     "random_instance",
     "rates_of",
     "solve_scalar_oracle",
     "spill_oracle",
+    "use_checked_fabric",
     "use_object_fabric",
-    "use_scalar_solver",
 ]
 
 
@@ -54,9 +64,61 @@ def use_object_fabric(monkeypatch) -> None:
     monkeypatch.setattr("repro.flow.fabric_array.ArrayFlowFabric", FlowFabric)
 
 
-def use_scalar_solver(monkeypatch) -> None:
-    """Make the object fabric solve every instance with ``solve_scalar``."""
-    monkeypatch.setattr("repro.flow.fabric.solve_vector", solve_scalar)
+def check_fill(fabric: ArrayFlowFabric) -> None:
+    """Assert the array fabric's last full solve is ``solve_scalar``'s.
+
+    Rebuilds the active units as stand-ins, solves them from scratch,
+    and compares unit rates, flow rates and the saturated links with
+    ``==``; then checks that no link carries more than its capacity and
+    that every unit crosses a link allocated to capacity.
+    """
+    act = fabric._act_flows
+    flows = [
+        F([U(fabric._u_links[us]) for us in fabric._f_units[fs]]) for fs in act
+    ]
+    sat = solve_scalar(flows, fabric.bw)
+    assert fabric._saturated == sat
+    assert [fabric._f_rate[fs] for fs in act] == [f.rate for f in flows]
+    assert [fabric._u_rate[us] for us in fabric._act_units] == [
+        u.rate for f in flows for u in f.units
+    ]
+    bw = fabric.bw
+    load = link_loads(bw, flows)
+    for lid, carried in enumerate(load):
+        assert carried <= bw[lid] * (1.0 + 1e-9), (lid, carried, bw[lid])
+    for f in flows:
+        for u in f.units:
+            slack = min((bw[lid] - load[lid]) / bw[lid] for lid, _ in u.links)
+            assert slack <= 1e-6, (slack, u.links)
+
+
+def checked_array_fabric(sizes: list[int]) -> type[ArrayFlowFabric]:
+    """An :class:`ArrayFlowFabric` that runs :func:`check_fill` after
+    every full solve and appends the solve's active-unit count to
+    ``sizes``. Disjoint-delta solves (``_solve_subset``) are not
+    checked: they accumulate their own base rate and may differ from a
+    full solve by one ulp (DESIGN.md §14)."""
+
+    class CheckedArrayFlowFabric(ArrayFlowFabric):
+        def _solve(self) -> None:
+            super()._solve()
+            check_fill(self)
+            sizes.append(len(self._act_units))
+
+    return CheckedArrayFlowFabric
+
+
+def use_checked_fabric(monkeypatch) -> list[int]:
+    """Make ``run_single`` build :func:`checked_array_fabric` fabrics.
+
+    Returns the list that collects each checked solve's active-unit
+    count, across every flow cell run in this process.
+    """
+    sizes: list[int] = []
+    monkeypatch.setattr(
+        "repro.flow.fabric_array.ArrayFlowFabric", checked_array_fabric(sizes)
+    )
+    return sizes
 
 
 def spill_oracle(
@@ -179,6 +241,16 @@ def random_instance(rng, max_links=12, max_flows=10):
             units.append([(lid, rng.uniform(0.25, 4.0)) for lid in lids])
         flow_specs.append(units)
     return caps, flow_specs
+
+
+def link_loads(caps, flows):
+    """Per-link load recomputed from the final unit rates."""
+    load = [0.0] * len(caps)
+    for f in flows:
+        for u in f.units:
+            for lid, w in u.links:
+                load[lid] += w * u.rate
+    return load
 
 
 def rates_of(flows):

@@ -1,26 +1,25 @@
-"""Differential equivalence of the flow backend's reference paths
+"""Differential equivalence of the flow backend's reference fabric
 through the real drivers.
 
-The unit harnesses (``tests/unit/test_flow_vectorized.py``,
-``tests/unit/test_fabric_array.py``) prove the max-min solvers and the
-two fabric implementations agree on synthetic instances; this module
-runs the same comparisons through ``TradeoffStudy``:
+The unit harnesses (``tests/unit/test_solver_oracle.py``,
+``tests/unit/test_fabric_array.py``) prove the max-min fills agree with
+their oracles on synthetic instances; this module runs the fabric
+comparison through ``TradeoffStudy``:
 
 * the full tiny 5x2 placement x routing grid produces the same physics
   (every summary metric, the saturation clocks, per-rank finish and
-  blocked times, ``sim_time_ns``) on the object fabric under the pure
-  scalar fill and under ``solve_vector`` — and on the object fabric
-  (the differential reference, reached through ``tests/flow_oracle.py``)
-  and the array fabric ``run_single`` builds — to relative error below
+  blocked times, ``sim_time_ns``) on the object fabric (the
+  differential reference, reached through ``tests/flow_oracle.py``)
+  and the array fabric ``run_single`` builds, to relative error below
   ``1e-9``;
 * the array fabric's results are bit-identical across worker counts;
-* a seeded fuzz sweep over traces and message scales keeps both
-  agreements honest away from the committed golden scenarios (full
+* a seeded fuzz sweep over traces and message scales keeps the
+  agreement honest away from the committed golden scenarios (full
   sweep is ``slow``; one slice always runs in CI).
 
 Fabric fingerprints compare *raw* (full-precision) metric values, not
 the rounded ``summary()`` view: the summary quantises to 1e-6, which
-amplifies a one-byte ``rint`` flip on an 11 MB counter (raw rel err
+amplifies a one-byte rounding flip on an 11 MB counter (raw rel err
 ~1e-13, honestly inside the 1e-9 contract) into an apparent 1e-7 gap.
 """
 
@@ -33,7 +32,7 @@ import pytest
 import repro
 from repro.flow import fabric_array
 from repro.flow.solver import SAT_RTOL
-from tests.flow_oracle import use_object_fabric, use_scalar_solver
+from tests.flow_oracle import use_object_fabric
 
 REL_ERR = 1e-9
 
@@ -56,45 +55,16 @@ def _trace(builder: str, num_ranks: int, seed: int, scale: float):
     return make(num_ranks=num_ranks, seed=seed).scaled(scale)
 
 
-def _run_grid(
-    monkeypatch,
-    *,
-    solver="vector",
-    fabric="object",
-    trace=None,
-    **run_kw,
-):
-    """Run the tiny FB grid on one fabric with one fill.
-
-    The solver comparisons run on the object fabric: the array fabric's
-    incremental solve is built in, so only the object fabric has a
-    fill to swap.
-    """
+def _run_grid(monkeypatch, *, fabric="object", trace=None, **run_kw):
+    """Run the tiny FB grid on one fabric."""
     if trace is None:
         trace = _trace("fill_boundary_trace", 8, 3, 0.05)
     with monkeypatch.context() as m:
         if fabric == "object":
             use_object_fabric(m)
-        if solver == "scalar":
-            use_scalar_solver(m)
         return repro.TradeoffStudy(
             repro.tiny(), {"FB": trace}, seed=7, backend="flow"
         ).run(**run_kw)
-
-
-def _fingerprint(solver: str, monkeypatch, *, trace=None, **run_kw):
-    """Per-cell physics of the tiny FB grid under one fill."""
-    study = _run_grid(monkeypatch, solver=solver, trace=trace, **run_kw)
-    out = {}
-    for key, result in study.runs.items():
-        out[key] = (
-            result.metrics.summary(),
-            result.sim_time_ns,
-            result.nonminimal_fraction,
-            result.job.finish_time_ns.tolist(),
-            result.job.blocked_time_ns.tolist(),
-        )
-    return out
 
 
 def _raw_fingerprint(fabric: str, monkeypatch, *, trace=None, **run_kw):
@@ -122,8 +92,8 @@ def _raw_fingerprint(fabric: str, monkeypatch, *, trace=None, **run_kw):
 
 
 #: Per-field absolute tolerance floors, applied per element. The
-#: ``bytes_tx`` counters are ``rint``-quantized int64 values of a float
-#: transfer ledger, so a sub-ulp accumulation-order difference between
+#: ``bytes_tx`` counters are integers rounded from a float transfer
+#: ledger, so a sub-ulp accumulation-order difference between
 #: fabrics can flip one boundary byte per link; one byte is each
 #: counter's honest resolution — rel 1e-9 of a <1 GB counter is *below*
 #: one byte, so without this floor the contract would demand
@@ -157,21 +127,6 @@ def _assert_cells_close(a, b, rel=REL_ERR):
             assert math.isclose(xa, xb, rel_tol=rel, abs_tol=0.0), key
         for xa, xb in zip(ba, bb, strict=True):
             assert math.isclose(xa, xb, rel_tol=rel, abs_tol=0.0), key
-
-
-class TestSolverEquivalence:
-    def test_full_grid_scalar_vs_vector(self, monkeypatch):
-        """Every metric of every tiny 5x2 cell agrees to < 1e-9."""
-        scalar = _fingerprint("scalar", monkeypatch)
-        vector = _fingerprint("vector", monkeypatch)
-        assert len(scalar) == 10
-        _assert_cells_close(scalar, vector)
-
-    def test_solver_tolerance_is_tighter_than_saturation_band(self):
-        """The equivalence bar must out-resolve the physics it guards:
-        if solvers drifted apart by more than the saturation detection
-        tolerance, saturated-link sets could legitimately differ."""
-        assert REL_ERR <= SAT_RTOL
 
 
 class TestFabricEquivalence:
@@ -208,9 +163,10 @@ class TestFabricEquivalence:
         assert len(built) == len(study.runs) == 10
 
     def test_fabric_tolerance_is_tighter_than_saturation_band(self):
-        """Same bar as the solver contract: if fabrics drifted apart
-        past the saturation tolerance, saturated-link sets could
-        legitimately diverge and the comparison would be meaningless."""
+        """The equivalence bar must out-resolve the physics it guards:
+        if fabrics drifted apart past the saturation tolerance,
+        saturated-link sets could legitimately diverge and the
+        comparison would be meaningless."""
         assert REL_ERR <= SAT_RTOL
 
     def test_array_bit_identical_across_workers(self, monkeypatch):
@@ -231,22 +187,11 @@ class TestDifferentialFuzz:
     @pytest.mark.parametrize(
         ("builder", "ranks", "seed", "scale"), list(_fuzz_params())
     )
-    def test_random_cells_agree(self, builder, ranks, seed, scale, monkeypatch):
-        """Seeded random workloads through the full driver: scalar and
-        vector fills agree to < 1e-9 on every cell of every grid."""
-        trace = _trace(builder, ranks, seed, scale)
-        scalar = _fingerprint("scalar", monkeypatch, trace=trace)
-        vector = _fingerprint("vector", monkeypatch, trace=trace)
-        _assert_cells_close(scalar, vector)
-
-    @pytest.mark.parametrize(
-        ("builder", "ranks", "seed", "scale"), list(_fuzz_params())
-    )
     def test_random_cells_fabrics_agree(
         self, builder, ranks, seed, scale, monkeypatch
     ):
-        """The same seeded sweep for the fabric pair: object and array
-        physics agree to < 1e-9 (raw values) on every cell."""
+        """Seeded random workloads through ``TradeoffStudy``: object and
+        array physics agree to < 1e-9 (raw values) on every cell."""
         trace = _trace(builder, ranks, seed, scale)
         obj = _raw_fingerprint("object", monkeypatch, trace=trace)
         arr = _raw_fingerprint("array", monkeypatch, trace=trace)

@@ -28,6 +28,7 @@ import repro
 from repro.core.study import TradeoffStudy
 from repro.placement.policies import PLACEMENT_NAMES
 from repro.routing import ROUTING_NAMES
+from tests.flow_oracle import use_checked_fabric
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_metrics.json"
 FLOW_GOLDEN_PATH = GOLDEN_PATH.with_name("golden_flow_metrics.json")
@@ -114,3 +115,12 @@ def test_golden_summaries(grid_summaries, update_goldens):
 def test_flow_golden_summaries(flow_grid_summaries, update_goldens):
     assert len(flow_grid_summaries) == 10
     _check_golden(FLOW_GOLDEN_PATH, flow_grid_summaries, update_goldens)
+
+
+def test_flow_grid_fills_match_scalar(flow_grid_summaries, monkeypatch):
+    """The flow grid again, with every full solve of every cell checked
+    against a from-scratch ``solve_scalar`` (``tests/flow_oracle.py``'s
+    ``check_fill``); the check changes nothing it observes."""
+    sizes = use_checked_fabric(monkeypatch)
+    assert _grid("flow") == flow_grid_summaries
+    assert sizes

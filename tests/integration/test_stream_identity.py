@@ -6,7 +6,8 @@ payloads) are performance work only. These tests hold them to that:
 
 * the ``bench_cluster.py`` stream replays identically when the fill is
   swapped for the historical loop in ``tests/flow_oracle.py``;
-* three keys captured from the original code stay byte-identical, so
+* three keys captured from the original code stay byte-identical
+  (the two salted ones re-pinned at each ``CODE_SALT`` bump), so
   caches written before the rewrite keep serving;
 * every job record and epoch key of that stream matches
   ``tests/data/golden_stream.json`` (rewritten by ``--update-goldens``),
@@ -39,10 +40,11 @@ SCENARIO = dict(
 
 #: Captured from the original code: the first epoch cell of the
 #: scenario (job CR-0 alone on nodes 0-3), its EpochSpec digest, and
-#: one ``plan_grid`` flow cell.
-FIRST_EPOCH_KEY = "4e2e91c7bbe8ed264c193e3747bf399fa544b39c8963550d0cbf0025449d45ab"
+#: one ``plan_grid`` flow cell. The two keys fold in ``CODE_SALT`` and
+#: were re-pinned at ``repro-exec/v9``; the digest carries no salt.
+FIRST_EPOCH_KEY = "ced63b937714d98b1bb0b328a2e33d899aca4687058e9c91836a04e84df0f761"
 FIRST_EPOCH_DIGEST = "6a99839fb7112922dfcbedb5cfe1dab49f932600dc9aea898d668cd64fed9157"
-PLAN_GRID_KEY = "a53111e612b7966ef0cb28e4f2697621a3b0b40db8bc9d808529c3cbe0c29f53"
+PLAN_GRID_KEY = "b47404c9ceef9b13fc607d3b801ada7d35b27c7179dc97c30220d1725f6c0d57"
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_stream.json"
 FAULTS_GOLDEN_PATH = GOLDEN_PATH.with_name("golden_stream_faults.json")
@@ -90,9 +92,9 @@ class TestOracleFill:
             solves.append(len(flows))
             return solve_scalar_oracle(flows, bw)
 
-        # The object fabric's solve_vector delegates every solve below
-        # VECTOR_MIN_UNITS to the module's solve_scalar.
-        monkeypatch.setattr("repro.flow.solver.solve_scalar", oracle_fill)
+        # Epoch cells run on the object fabric, which calls the
+        # solve_scalar it imported.
+        monkeypatch.setattr("repro.flow.fabric.solve_scalar", oracle_fill)
         oracle = run_stream(repro.tiny(), cache=str(tmp_path), **SCENARIO)
         assert solves
         assert oracle.counters == result.counters

@@ -7,8 +7,15 @@ import repro
 from repro.advisor.features import FEATURE_NAMES, FeatureExtractor
 from repro.advisor.funnel import FUNNEL_SCHEMA, suggest_placement
 from repro.advisor.model import RidgeSurrogate
-from repro.advisor.store import build_training_set
+from repro.advisor import store as store_mod
+from repro.advisor.store import build_training_set, train_surrogate
+from repro.exec import plan as plan_mod
+from repro.exec import pool as pool_mod
 from repro.exec.cache import ResultCache
+from repro.exec.plan import plan_grid
+from repro.exec.pool import execute_plan
+from repro.placement.policies import PLACEMENT_NAMES
+from repro.routing import ROUTING_NAMES
 
 from tests.advisor_helpers import advisor_trace
 from tests.exec_helpers import make_stub_result, tiny_trace
@@ -244,3 +251,28 @@ class TestTrainingSet:
         fx = FeatureExtractor(config, trace, "min")
         assert np.array_equal(ts.features[0], fx.vector(result.nodes))
         assert ts.targets[0] == pytest.approx(np.log1p(5000.0))
+
+    def test_rewarmed_cache_trains_on_current_salt_only(
+        self, config, tmp_path, monkeypatch
+    ):
+        """A cache warmed before and after a salt bump holds every cell
+        twice; only the current salt's copy is a training sample."""
+        fb = repro.fill_boundary_trace(num_ranks=8, seed=3).scaled(0.05)
+        traces = {"FB": fb}
+        cache = ResultCache(tmp_path)
+
+        def warm():
+            plan = plan_grid(
+                config, traces, PLACEMENT_NAMES, ROUTING_NAMES, seed=7,
+                backend="flow",
+            )
+            execute_plan(plan, cache=cache).raise_if_failed()
+
+        warm()
+        for mod in (plan_mod, pool_mod, store_mod):
+            monkeypatch.setattr(mod, "CODE_SALT", "repro-exec/next")
+        warm()
+        assert len(cache) == 20
+        _model, training = train_surrogate(config, traces, cache)
+        assert training.n_samples == 10
+        assert training.skipped == {"stale_salt": 10}

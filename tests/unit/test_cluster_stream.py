@@ -274,6 +274,22 @@ class TestEpochCells:
         assert out.job.num_ranks == 8
         assert out.backend == "flow"
 
+    def test_packet_cells_report_nonminimal_share(self, tiny_config):
+        """A packet epoch cell reports its routing policy's non-minimal
+        share: adaptive routing detours under contention, minimal never."""
+        a = repro.crystal_router_trace(num_ranks=8, seed=1).scaled(0.2)
+        b = repro.fill_boundary_trace(num_ranks=8, seed=2).scaled(0.2)
+        jobs = [(a, list(range(8))), (b, list(range(8, 16)))]
+        share = {}
+        for routing in ("adp", "min"):
+            spec, merged = _epoch_spec_for(
+                tiny_config, jobs, backend="packet", routing=routing
+            )
+            out = simulate_epoch(tiny_config, spec, merged)
+            share[routing] = out.nonminimal_fraction
+        assert share["adp"] > 0.0
+        assert share["min"] == 0.0
+
     def test_simulate_epoch_span_mismatch(self, tiny_config):
         a = repro.crystal_router_trace(num_ranks=4, seed=1)
         spec, merged = _epoch_spec_for(tiny_config, [(a, list(range(4)))])

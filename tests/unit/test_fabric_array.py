@@ -1,7 +1,6 @@
 """Whitebox tests of the array flow fabric and its support layers:
 the fast spill path's bit-exactness against the oracle emulation, the
-incremental CSR + link-aggregate invariants, and the vectorized settle
-and solve dispatch.
+maintained link-aggregate invariants, and the fill check at every size.
 
 The cross-driver physics equivalence (object vs array fabric over the
 full grid, repeat runs, worker pools) lives in
@@ -18,11 +17,12 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.runner import build_topology
 from repro.engine.simulator import Simulator
 from repro.flow.fabric_array import ArrayFlowFabric
 from repro.flow.routes import FlowRouteModel
 from repro.network.packet import Message
-from tests.flow_oracle import emulate_oracle, spill_oracle
+from tests.flow_oracle import checked_array_fabric, emulate_oracle, spill_oracle
 
 
 @pytest.fixture(scope="module")
@@ -96,33 +96,16 @@ class TestSpillFastExactness:
 
 
 def _check_invariants(fabric):
-    """The incremental CSR and link aggregates match a from-scratch
-    rebuild over the currently admitted units."""
-    n = fabric._csr_n
+    """The maintained link aggregates match a from-scratch rebuild over
+    the currently admitted units."""
     lw: dict[int, float] = {}
     lc: dict[int, int] = {}
     lu: dict[int, list[int]] = {}
-    n_live = 0
-    for us in sorted(
-        fabric._act_units, key=lambda u: fabric._u_span[u][0]
-    ):
-        s, e = fabric._u_span[us]
-        assert 0 <= s <= e <= n
-        assert fabric._csr_live[s:e].all(), us
-        assert (fabric._csr_unit[s:e] == us).all(), us
-        np.testing.assert_array_equal(
-            fabric._csr_cols[s:e], fabric._u_cols[us]
-        )
-        np.testing.assert_array_equal(
-            fabric._csr_wgts[s:e], fabric._u_wgts[us]
-        )
-        n_live += e - s
+    for us in fabric._act_units:
         for lid, w in fabric._u_links[us]:
             lw[lid] = lw.get(lid, 0.0) + w
             lc[lid] = lc.get(lid, 0) + 1
             lu.setdefault(lid, []).append(us)
-    assert int(fabric._csr_live[:n].sum()) == n_live
-    assert fabric._csr_dead == n - n_live
     assert {lid: rec[9] for lid, rec in fabric._lrec.items()} == lc
     assert set(fabric._lrec) == set(lw)
     for lid, w in lw.items():
@@ -140,11 +123,10 @@ def _check_invariants(fabric):
     assert fabric._lx == lx
 
 
-class TestCSRInvariants:
+class TestAggregateInvariants:
     def test_invariants_hold_through_churn(self, cfg, topo):
-        """Snapshots taken mid-run — after admissions, finishes, and
-        the growth/compaction cycles they trigger — always agree with
-        a from-scratch rebuild of the CSR and the aggregates."""
+        """Snapshots taken mid-run, after admissions and finishes,
+        always agree with a from-scratch rebuild of the aggregates."""
         sim = Simulator()
         fabric = ArrayFlowFabric(sim, topo, cfg.network, "adp")
         msgs = _workload(topo, 48, seed=9, max_size=32 * 1024)
@@ -159,68 +141,10 @@ class TestCSRInvariants:
             sim.at(t, snap)
         _run_workload(fabric, msgs)
         assert checks == 5
-        # Fully drained: nothing admitted, nothing live.
+        # Fully drained: nothing admitted, nothing crossed.
         _check_invariants(fabric)
         assert not fabric._act_flows and not fabric._act_units
-
-    def test_compaction_preserves_live_rows(self, cfg, topo):
-        """Forcing a compaction mid-flight keeps exactly the live rows
-        in admission order and resets the dead counter."""
-        sim = Simulator()
-        fabric = ArrayFlowFabric(sim, topo, cfg.network, "adp")
-        msgs = _workload(topo, 40, seed=13, max_size=24 * 1024)
-        ran = 0
-
-        def force_compact():
-            nonlocal ran
-            before = [
-                (us, fabric._csr_cols[slice(*fabric._u_span[us])].copy())
-                for us in fabric._act_units
-            ]
-            fabric._csr_compact()
-            assert fabric._csr_dead == 0
-            _check_invariants(fabric)
-            for us, cols in before:
-                np.testing.assert_array_equal(
-                    fabric._csr_cols[slice(*fabric._u_span[us])], cols
-                )
-            ran += 1
-
-        for t in (3_000.0, 30_000.0):
-            sim.at(t, force_compact)
-        _run_workload(fabric, msgs)
-        assert ran == 2
-
-
-class TestVectorizedDispatch:
-    @pytest.mark.parametrize("routing", ["adp", "min"])
-    def test_forced_vector_paths_match_scalar_paths(
-        self, cfg, topo, routing
-    ):
-        """Pinning ``vec_min_units`` to 0 (every settle/solve takes the
-        numpy path) and to infinity (never) must agree: rates and sat
-        clocks to 1e-9, byte counters to their one-byte rint quantum."""
-        results = {}
-        for vec_min in (0, 10**9):
-            sim = Simulator()
-            fabric = ArrayFlowFabric(
-                sim, topo, cfg.network, routing, vec_min_units=vec_min
-            )
-            msgs = _run_workload(fabric, _workload(topo, 36, seed=21))
-            results[vec_min] = (
-                fabric.bytes_tx,
-                list(fabric.sat_ns),
-                [m.delivered_time for m in msgs],
-                [m.injected_time for m in msgs],
-                fabric.nonminimal_fraction,
-            )
-        tx_a, sat_a, del_a, inj_a, nm_a = results[0]
-        tx_b, sat_b, del_b, inj_b, nm_b = results[10**9]
-        assert np.abs(np.array(tx_a) - np.array(tx_b)).max() <= 1
-        np.testing.assert_allclose(sat_a, sat_b, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(del_a, del_b, rtol=1e-9)
-        np.testing.assert_allclose(inj_a, inj_b, rtol=1e-9)
-        assert math.isclose(nm_a, nm_b, rel_tol=1e-9, abs_tol=1e-12)
+        assert not fabric._lrec and not fabric._lx
 
     def test_min_routing_skips_ledger(self, cfg, topo):
         """Minimal cells never read the UGAL ledger, so the array
@@ -230,3 +154,24 @@ class TestVectorizedDispatch:
         _run_workload(fabric, _workload(topo, 12, seed=3))
         assert not fabric._adaptive
         assert not any(fabric._load)
+
+
+class TestFillCheck:
+    @pytest.mark.parametrize(
+        ("routing", "preset"), [("adp", "small"), ("min", "medium")]
+    )
+    def test_burst_fills_match_scalar(self, routing, preset):
+        """Every full solve of a 400-message burst equals a from-scratch
+        ``solve_scalar`` of its active units (``check_fill``), with
+        solves well past 96 active units. ``min`` keeps one unit per
+        busy source node, so it needs the medium preset's 432 nodes to
+        get there; ``adp`` spills a message over several units."""
+        cfg = getattr(repro, preset)()
+        topo = build_topology(cfg.topology)
+        sizes: list[int] = []
+        fabric = checked_array_fabric(sizes)(
+            Simulator(), topo, cfg.network, routing
+        )
+        msgs = _run_workload(fabric, _workload(topo, 400, seed=5))
+        assert fabric.messages_delivered == len(msgs)
+        assert max(sizes) > 96, max(sizes)

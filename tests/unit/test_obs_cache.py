@@ -34,23 +34,25 @@ class TestCacheVersioning:
         v6: vectorized default flow solver + fabric wake guard; v7:
         array default flow fabric + flow_params field on specs; v8:
         the repro.mlcomms training family's expansions and app
-        names); a warm cache directory from an older salt has to
-        behave as fully cold.
+        names; v9: one max-min fill per flow fabric, packet epoch
+        cells' non-minimal share, and ``RunResult.salt``); a warm
+        cache directory from an older salt has to behave as fully
+        cold.
         """
-        assert plan_mod.CODE_SALT == "repro-exec/v8"
+        assert plan_mod.CODE_SALT == "repro-exec/v9"
         cache = ResultCache(tmp_path)
 
-        monkeypatch.setattr(plan_mod, "CODE_SALT", "repro-exec/v7")
+        monkeypatch.setattr(plan_mod, "CODE_SALT", "repro-exec/v8")
         old_keys = make_plan().keys()
-        report_v7 = execute_plan(make_plan(), cache=cache)
-        assert report_v7.done == 1 and report_v7.cached == 0
+        report_v8 = execute_plan(make_plan(), cache=cache)
+        assert report_v8.done == 1 and report_v8.cached == 0
 
         monkeypatch.undo()
         new_keys = make_plan().keys()
         assert set(old_keys).isdisjoint(new_keys)
-        report_v8 = execute_plan(make_plan(), cache=cache)
-        assert report_v8.done == 1 and report_v8.cached == 0
-        # And the v8 entry now hits under the v8 salt.
+        report_v9 = execute_plan(make_plan(), cache=cache)
+        assert report_v9.done == 1 and report_v9.cached == 0
+        # And the v9 entry now hits under the v9 salt.
         assert execute_plan(make_plan(), cache=cache).cached == 1
 
     def test_obs_config_is_part_of_cell_identity(self):
