@@ -227,10 +227,12 @@ def run_single(
     ``backend`` selects the simulation model: ``"packet"`` (default) is
     the exact packet-level engine; ``"flow"`` is the fluid max-min model
     (:mod:`repro.flow`, DESIGN.md S16) on the array-state fabric
-    (:class:`~repro.flow.fabric_array.ArrayFlowFabric`) — orders of
-    magnitude faster, emitting the same metric set. The backend changes
-    results, so it is part of the exec cache identity. The flow backend
-    does not support ``obs`` or fault injection.
+    (:class:`~repro.flow.fabric_array.ArrayFlowFabric`), emitting the
+    same metric set. Flow is faster only on heavy-message cells and
+    slower on light ones (DESIGN.md §11 has the measured crossover).
+    The backend changes results, so it is part of the exec cache
+    identity. The flow backend does not support ``obs`` or fault
+    injection.
     """
     wall_start = time.perf_counter()
     if seed is None:

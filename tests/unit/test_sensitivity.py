@@ -7,7 +7,6 @@ import repro
 from repro.core.sensitivity import (
     EXTREME_CONFIGS,
     PAPER_SCALES,
-    SensitivityResult,
     sensitivity_sweep,
 )
 

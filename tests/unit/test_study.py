@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.study import StudyResult, TradeoffStudy
+from repro.core.study import TradeoffStudy
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,5 @@
 """RankTrace/JobTrace container tests."""
 
-import numpy as np
 import pytest
 
 from repro.mpi.ops import Barrier, Compute, Irecv, Isend, Recv, Send, Wait, WaitAll
