@@ -14,6 +14,9 @@ if [ -n "$changed" ]; then
   echo "paper results differ from the committed files:" >&2
   echo "$changed" >&2
   git diff --stat -- benchmarks/results >&2
+  # The moved rows themselves, bounded so a large change stays readable
+  # (head closing the pipe early must not end the script before exit 1).
+  git diff -- benchmarks/results | head -n 200 >&2 || true
   exit 1
 fi
 echo "every paper result file matches its committed copy"

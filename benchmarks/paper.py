@@ -17,8 +17,10 @@ divergence") and are expected to fail; the run also fails if one of
 them passes, so a change that closes a divergence shows up.
 
 The machine is the medium preset (a 432-node dragonfly; DESIGN.md §4
-gives the scaling rationale) with 128-rank apps and seed 1. The claim
-bounds are calibrated at exactly these values, so they are constants.
+gives the scaling rationale) with 128-rank apps and seed 1; the
+switching, sensing and protocol ablations run the small preset with
+32-rank apps, and their result headers say so. The claim bounds are
+calibrated at exactly these values, so they are constants.
 """
 
 import dataclasses
@@ -94,9 +96,19 @@ PAPER_TABLE2 = {
     "FB": (38.38, 5.75),
     "AMG": (27.00, 2.85),
 }
+#: Background nodes beside each app in the paper's Table II: Theta's
+#: 3,456 nodes (DESIGN.md §4) less the app's 1,000 ranks (CR, FB) or
+#: 1,728 (AMG). Its uniform column is 16 KiB per node, in MiB.
+PAPER_BG_NODES = {"CR": 2456, "FB": 2456, "AMG": 1728}
 
 #: The switching, sensing and protocol ablations run on the small preset.
 ABLATION_RANKS = 32
+#: Their result files, whose header names that machine.
+SMALL_PRESET_RESULTS = (
+    "ablation_switching",
+    "ablation_adaptive_sensing",
+    "ablation_protocol",
+)
 #: Rendezvous threshold of the protocol ablation: FB's halo messages
 #: are far above it, so nearly everything goes rendezvous.
 EAGER_THRESHOLD = 8192
@@ -232,12 +244,15 @@ class Inputs:
         }
 
     @cached_property
+    def bg_nodes(self) -> dict[str, int]:
+        """Background nodes beside each app: every node its ranks leave."""
+        return {app: self.config.topology.num_nodes - RANKS for app in APPS}
+
+    @cached_property
     def table2(self) -> dict[str, tuple[float, float]]:
         """Table II: app -> (uniform peak load MB, bursty peak load GB)."""
-        bg_nodes = self.config.topology.num_nodes - RANKS
         rows = background_load_table(
-            {app: background_specs(app) for app in APPS},
-            {app: bg_nodes for app in APPS},
+            {app: background_specs(app) for app in APPS}, self.bg_nodes
         )
         return {app: (uniform_mb, bursty_gb) for app, uniform_mb, bursty_gb in rows}
 
@@ -562,8 +577,11 @@ FIGURES: dict[str, Callable[[Inputs], str]] = {
 
 
 def document(name: str, text: str) -> str:
-    """A result file's full text: the run's header line, then ``text``."""
-    return f"# {name} — preset={PRESET} ranks={RANKS} seed={SEED}\n{text}\n"
+    """A result file's full text: its machine's header line, then ``text``."""
+    preset, ranks = (
+        ("small", ABLATION_RANKS) if name in SMALL_PRESET_RESULTS else (PRESET, RANKS)
+    )
+    return f"# {name} — preset={preset} ranks={ranks} seed={SEED}\n{text}\n"
 
 
 # -- Claims -------------------------------------------------------------
@@ -711,17 +729,30 @@ def table2_claim(id, app, statement, stat, op, bound) -> Claim:
                  lambda g: stat(g.table2), op, bound, f"{stat(PAPER_TABLE2):.4g}")
 
 
+def kib_per_node(uniform_bytes: dict[str, float], nodes: dict[str, int]) -> float:
+    """Uniform peak load per background node in KiB if every app has the
+    same one, else NaN. Rounded to 2 decimals: Table II's 2-decimal MiB
+    column puts the paper's per-node loads within 0.003 KiB."""
+    loads = {round(b / nodes[app] / 1024, 2) for app, b in uniform_bytes.items()}
+    return loads.pop() if len(loads) == 1 else math.nan
+
+
 CLAIMS: tuple[Claim, ...] = (
     Claim("table1.ten-configs", "table1_nomenclature", "—",
           "placement x routing pairs that instantiate",
           lambda g: len([(make_placement(p), make_routing(r))
                          for p in PLACEMENT_NAMES for r in ROUTING_NAMES]),
           "==", 10, "10"),
-    table2_claim("table2.uniform-equal", "all",
-                 "uniform peak load spread across target apps (MB)",
-                 lambda t: max(u for u, _ in t.values())
-                 - min(u for u, _ in t.values()),
-                 "==", 0.0),
+    Claim("table2.uniform-per-node", "table2_background_load", "all",
+          "uniform peak load per background node, one value for every app (KiB)",
+          lambda g: kib_per_node(
+              {app: mb * 1e6 for app, (mb, _) in g.table2.items()}, g.bg_nodes
+          ),
+          "==", 16.0,
+          "{:g} each".format(kib_per_node(
+              {app: mib * 2**20 for app, (mib, _) in PAPER_TABLE2.items()},
+              PAPER_BG_NODES,
+          ))),
     *(
         table2_claim(f"table2.{app.lower()}-bursty-dwarfs-uniform", app,
                      "bursty over uniform peak load",

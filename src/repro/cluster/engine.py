@@ -60,7 +60,6 @@ from repro.core.runner import (
 )
 from repro.exec.cache import ResultCache
 from repro.exec.plan import (
-    DEFAULT_MAX_EVENTS,
     ExperimentPlan,
     RunSpec,
     config_digest,
@@ -153,7 +152,6 @@ def simulate_epoch(
         config,
         spec.routing,
         spec.seed,
-        compute_scale=spec.compute_scale,
         faults=spec.faults,
         backend=spec.backend,
         flow_fabric=FlowFabric,
@@ -178,7 +176,7 @@ def simulate_epoch(
         raise ValueError(
             f"epoch trace has {trace.num_ranks} ranks but spec spans {offset}"
         )
-    engine.run(max_events=spec.max_events)
+    engine.run()
 
     per_job: dict[str, dict[str, float]] = {}
     parts: list[JobResult] = []
@@ -255,7 +253,6 @@ def run_stream(
     progress=None,
     validate_every: int = 0,
     faults=None,
-    max_events: int | None = DEFAULT_MAX_EVENTS,
     timeout_s: float | None = None,
     jobs: list[StreamJob] | None = None,
     surrogate_model=None,
@@ -414,7 +411,6 @@ def run_stream(
                 seed=seed,
                 config_digest=cfg_digest,
                 trace_digest=td,
-                max_events=max_events,
                 faults=cell_faults if be == "packet" else None,
                 backend=be,
                 epoch=ep,

@@ -82,7 +82,6 @@ def interference_study(
     placements: tuple[str, ...] = PLACEMENT_NAMES,
     routings: tuple[str, ...] = ROUTING_NAMES,
     seed: int = 0,
-    compute_scale: float = 0.0,
     max_workers: int = 1,
     cache_dir=None,
     progress=None,
@@ -102,7 +101,6 @@ def interference_study(
         placements=placements,
         routings=routings,
         seed=seed,
-        compute_scale=compute_scale,
         background=background,
         obs=obs,
         faults=faults,

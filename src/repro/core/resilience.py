@@ -135,7 +135,6 @@ def resilience_study(
     seed: int = 0,
     fault_seed: int = 0,
     router_rate: float = 0.0,
-    compute_scale: float = 0.0,
     max_workers: int = 1,
     cache_dir=None,
     progress=None,
@@ -173,7 +172,6 @@ def resilience_study(
             placements=placements,
             routings=routings,
             seed=seed,
-            compute_scale=compute_scale,
             faults=plan,
         ).run(
             max_workers=max_workers, cache_dir=cache_dir, progress=progress

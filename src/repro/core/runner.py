@@ -199,7 +199,6 @@ def run_single(
     compute_scale: float = 0.0,
     background=None,
     record_sends: bool = False,
-    max_events: int | None = 50_000_000,
     obs: ObsConfig | None = None,
     faults=None,
     backend: str = "packet",
@@ -258,7 +257,7 @@ def run_single(
     if background is not None:
         injector = background.build(machine.free_nodes(), seed=seed)
         engine.add_injector(injector)
-    engine.run(target_job=TARGET_JOB, max_events=max_events)
+    engine.run(target_job=TARGET_JOB)
 
     job = engine.job_result(TARGET_JOB)
     metrics = RunMetrics.from_run(cell.fabric, cell.topo, job, nodes)

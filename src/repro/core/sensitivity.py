@@ -78,7 +78,6 @@ def sensitivity_sweep(
     configs: Sequence[tuple[str, str]] = EXTREME_CONFIGS,
     baseline: tuple[str, str] = ("rand", "adp"),
     seed: int = 0,
-    compute_scale: float = 0.0,
     max_workers: int = 1,
     cache_dir=None,
     progress=None,
@@ -97,8 +96,7 @@ def sensitivity_sweep(
         raise ValueError("baseline configuration must be in the swept set")
 
     plan = plan_sensitivity(
-        config, trace, scales, configs, seed=seed, compute_scale=compute_scale,
-        faults=faults, backend=backend,
+        config, trace, scales, configs, seed=seed, faults=faults, backend=backend
     )
     report = execute_plan(
         plan,

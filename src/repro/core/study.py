@@ -33,9 +33,7 @@ class TradeoffStudy:
         placements: tuple[str, ...] = PLACEMENT_NAMES,
         routings: tuple[str, ...] = ROUTING_NAMES,
         seed: int = 0,
-        compute_scale: float = 0.0,
         background=None,
-        record_sends: bool = False,
         obs=None,
         faults=None,
         backend: str = "packet",
@@ -49,9 +47,7 @@ class TradeoffStudy:
         self.placements = tuple(placements)
         self.routings = tuple(routings)
         self.seed = seed
-        self.compute_scale = compute_scale
         self.background = background
-        self.record_sends = record_sends
         self.obs = obs
         self.faults = faults
         self.backend = backend
@@ -64,9 +60,7 @@ class TradeoffStudy:
             self.placements,
             self.routings,
             seed=self.seed,
-            compute_scale=self.compute_scale,
             background=self.background,
-            record_sends=self.record_sends,
             obs=self.obs,
             faults=self.faults,
             backend=self.backend,
@@ -99,7 +93,6 @@ class TradeoffStudy:
             progress=progress,
             timeout_s=timeout_s,
             retries=retries,
-            ipc_send_events=self.record_sends,
             strict=True,
         )
         runs: dict[tuple[str, str, str], RunResult] = {}

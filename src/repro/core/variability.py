@@ -61,7 +61,6 @@ def variability_study(
     configs: tuple[tuple[str, str], ...] = (("cont", "min"), ("rand", "adp")),
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
     background=None,
-    compute_scale: float = 0.0,
 ) -> VariabilityResult:
     """Repeat each configuration across seeds and collect the spread.
 
@@ -75,13 +74,7 @@ def variability_study(
     for seed in seeds:
         for placement, routing in configs:
             result = run_single(
-                config,
-                trace,
-                placement,
-                routing,
-                seed=seed,
-                background=background,
-                compute_scale=compute_scale,
+                config, trace, placement, routing, seed=seed, background=background
             )
             samples[f"{placement}-{routing}"].append(
                 result.metrics.median_comm_time_ns

@@ -5,8 +5,8 @@ interference rerun — is just a set of independent simulation *cells*.
 This module enumerates any of them into a flat, deterministic list of
 :class:`RunSpec` records. A spec captures everything that determines a
 cell's outcome (topology/network parameters, trace content, placement,
-routing, seed, compute scale, background traffic, replay options) as a
-stable content hash, so specs are
+routing, seed, background traffic, observation, faults, backend, cluster
+epoch) as a stable content hash, so specs are
 
 * **hashable / comparable** — two cells with the same inputs share a key;
 * **addressable** — :mod:`repro.exec.cache` files results under the key;
@@ -78,11 +78,13 @@ __all__ = [
 #: unit, so flow results with link weights other than 1 and 1/2 may
 #: move in the last bits), packet epoch cells report their routing
 #: policy's non-minimal share instead of 0.0, and RunResult grew
-#: ``salt``.
-CODE_SALT = "repro-exec/v9"
-
-#: Default replay event budget, mirrored from ``run_single``.
-DEFAULT_MAX_EVENTS = 50_000_000
+#: ``salt``; v10 = the key payload is every :class:`RunSpec` field, and
+#: the fields no caller set (``compute_scale``, ``record_sends``,
+#: ``max_events``, ``tags``) and three unset ``ObsConfig`` fields left
+#: it. No result moves but every key does; without the bump a reused
+#: cache would hold two v9-stamped copies of each cell, and the
+#: surrogate trainer would learn from both.
+CODE_SALT = "repro-exec/v10"
 
 
 def config_digest(config: SimulationConfig) -> str:
@@ -147,11 +149,12 @@ class RunSpec:
     ``app`` is the plan-local trace key (the study's application name,
     suffixed with the scale for sweeps); the trace itself travels beside
     the spec in the :class:`ExperimentPlan` so specs stay tiny.
+    Every field is part of the identity hash (:attr:`key`), so an
+    observed cell never shares a cache entry with an unobserved one and
+    a flow cell never shares one with its packet twin.
+
     ``background`` is a frozen dataclass (``BackgroundSpec``) or None;
-    ``obs`` likewise (:class:`~repro.obs.recorder.ObsConfig`) — both are
-    part of the identity hash, so an observed cell never shares a cache
-    entry with an unobserved one. ``tags`` is free-form labelling (e.g.
-    ``("scale=0.5",)``) that is part of the identity hash.
+    ``obs`` likewise (:class:`~repro.obs.recorder.ObsConfig`).
 
     ``faults`` is an optional :class:`~repro.faults.FaultPlan`. Its
     content digest enters the identity hash; an *empty* plan hashes as
@@ -159,17 +162,14 @@ class RunSpec:
     both, so they must share a cache entry).
 
     ``backend`` selects the simulation model (``"packet"`` or
-    ``"flow"``, see :mod:`repro.flow`). It changes results, so it is
-    part of the identity hash: a flow cell never shares a cache entry
-    with its packet twin.
+    ``"flow"``, see :mod:`repro.flow`).
 
     ``epoch`` is an optional
     :class:`~repro.cluster.engine.EpochSpec` — a co-scheduled snapshot
     of a cluster stream (job names, rank spans, node allocations,
-    stream seed, workload mix). It is part of the identity hash, so an
-    epoch cell can never collide with a single-job cell, and epochs of
-    different streams (different seed or mix) never share entries even
-    if their snapshots happen to coincide.
+    stream seed, workload mix). An epoch cell can never collide with a
+    single-job cell, and epochs of different streams (different seed or
+    mix) never share entries even if their snapshots happen to coincide.
     """
 
     app: str
@@ -178,11 +178,7 @@ class RunSpec:
     seed: int
     config_digest: str
     trace_digest: str
-    compute_scale: float = 0.0
     background: Any = None
-    record_sends: bool = False
-    max_events: int | None = DEFAULT_MAX_EVENTS
-    tags: tuple[str, ...] = ()
     obs: Any = None
     faults: Any = None
     backend: str = "packet"
@@ -204,46 +200,16 @@ class RunSpec:
         key = self.__dict__.get("_key")
         if key is not None:
             return key
-        background = (
-            dataclasses.asdict(self.background)
-            if dataclasses.is_dataclass(self.background)
-            else self.background
-        )
-        obs = (
-            dataclasses.asdict(self.obs)
-            if dataclasses.is_dataclass(self.obs)
-            else self.obs
-        )
-        faults = self.faults
-        if faults is not None:
-            faults = None if faults.is_empty() else faults.digest
-        epoch = (
-            field_payload(self.epoch)
-            if dataclasses.is_dataclass(self.epoch)
-            else self.epoch
-        )
-        payload = json.dumps(
-            {
-                "salt": CODE_SALT,
-                "app": self.app,
-                "placement": self.placement,
-                "routing": self.routing,
-                "seed": self.seed,
-                "config": self.config_digest,
-                "trace": self.trace_digest,
-                "compute_scale": self.compute_scale,
-                "background": background,
-                "record_sends": self.record_sends,
-                "max_events": self.max_events,
-                "tags": list(self.tags),
-                "obs": obs,
-                "faults": faults,
-                "backend": self.backend,
-                "epoch": epoch,
-            },
-            sort_keys=True,
-        )
-        key = hashlib.sha256(payload.encode()).hexdigest()
+        payload: dict[str, Any] = {"salt": CODE_SALT}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name == "faults" and value is not None:
+                value = None if value.is_empty() else value.digest
+            elif dataclasses.is_dataclass(value):
+                value = field_payload(value)
+            payload[f.name] = value
+        text = json.dumps(payload, sort_keys=True)
+        key = hashlib.sha256(text.encode()).hexdigest()
         self.__dict__["_key"] = key
         return key
 
@@ -290,10 +256,7 @@ def plan_grid(
     placements: Sequence[str],
     routings: Sequence[str],
     seed: int = 0,
-    compute_scale: float = 0.0,
     background: Any = None,
-    record_sends: bool = False,
-    max_events: int | None = DEFAULT_MAX_EVENTS,
     obs: Any = None,
     faults: Any = None,
     backend: str = "packet",
@@ -317,10 +280,7 @@ def plan_grid(
             seed=seed,
             config_digest=cfg_digest,
             trace_digest=fingerprints[app],
-            compute_scale=compute_scale,
             background=background,
-            record_sends=record_sends,
-            max_events=max_events,
             obs=obs,
             faults=faults,
             backend=backend,
@@ -338,8 +298,6 @@ def plan_sensitivity(
     scales: Sequence[float],
     configs: Sequence[tuple[str, str]],
     seed: int = 0,
-    compute_scale: float = 0.0,
-    max_events: int | None = DEFAULT_MAX_EVENTS,
     faults: Any = None,
     backend: str = "packet",
 ) -> ExperimentPlan:
@@ -369,9 +327,6 @@ def plan_sensitivity(
                     seed=seed,
                     config_digest=cfg_digest,
                     trace_digest=digest,
-                    compute_scale=compute_scale,
-                    max_events=max_events,
-                    tags=(f"scale={scale:g}",),
                     faults=faults,
                     backend=backend,
                 )

@@ -24,11 +24,6 @@ Scheduling model:
 * a per-cell ``timeout_s`` is enforced inside the worker via
   ``SIGALRM`` (so a hung cell cannot wedge the pool) and also applies
   on the serial path.
-
-Results crossing a process boundary are slimmed for IPC: the optional
-``record_sends`` payload (``job.send_events``, one tuple per message)
-is dropped unless ``ipc_send_events=True``, since it can dwarf every
-other field combined.
 """
 
 from __future__ import annotations
@@ -74,13 +69,10 @@ def simulate_spec(
         spec.placement,
         spec.routing,
         seed=spec.seed,
-        compute_scale=spec.compute_scale,
         background=spec.background,
-        record_sends=spec.record_sends,
-        max_events=spec.max_events,
         obs=spec.obs,
-        faults=getattr(spec, "faults", None),
-        backend=getattr(spec, "backend", "packet"),
+        faults=spec.faults,
+        backend=spec.backend,
     )
 
 
@@ -112,12 +104,10 @@ def _call_with_timeout(fn, args, timeout_s: float | None):
         signal.signal(signal.SIGALRM, old_handler)
 
 
-def _pool_entry(runner, config, spec, trace, timeout_s, keep_sends):
-    """Worker-side task: simulate one cell and slim the result for IPC."""
+def _pool_entry(runner, config, spec, trace, timeout_s):
+    """Worker-side task: simulate one cell and time it."""
     start = time.perf_counter()
     result = _call_with_timeout(runner, (config, spec, trace), timeout_s)
-    if not keep_sends and getattr(result, "job", None) is not None:
-        result.job.send_events = None
     return result, time.perf_counter() - start
 
 
@@ -199,7 +189,6 @@ def execute_plan(
     timeout_s: float | None = None,
     retries: int = 1,
     runner=None,
-    ipc_send_events: bool = False,
     strict: bool = False,
 ) -> ExecutionReport:
     """Execute every cell of ``plan`` and report outcomes in plan order.
@@ -238,7 +227,7 @@ def execute_plan(
         if not use_serial:
             done = _run_parallel(
                 plan, pending, runner, max_workers, cache, tracker,
-                timeout_s, retries, ipc_send_events,
+                timeout_s, retries,
             )
             if done is None:  # pool unavailable on this platform
                 use_serial = True
@@ -303,8 +292,7 @@ def _run_serial(
 
 
 def _run_parallel(
-    plan, pending, runner, max_workers, cache, tracker,
-    timeout_s, retries, ipc_send_events,
+    plan, pending, runner, max_workers, cache, tracker, timeout_s, retries
 ) -> dict[int, CellOutcome] | None:
     """Pool execution with bounded retry across pool generations.
 
@@ -336,7 +324,7 @@ def _run_parallel(
                 tracker.cell_start(spec, attempt=attempts[i])
                 fut = pool.submit(
                     _pool_entry, runner, plan.config, spec,
-                    plan.trace_for(spec), timeout_s, ipc_send_events,
+                    plan.trace_for(spec), timeout_s,
                 )
                 futures[fut] = i
             not_done = set(futures)

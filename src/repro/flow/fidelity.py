@@ -173,7 +173,6 @@ def fidelity_report(
     placements: tuple[str, ...] = PLACEMENT_NAMES,
     routings: tuple[str, ...] = ROUTING_NAMES,
     seed: int = 0,
-    compute_scale: float = 0.0,
     max_workers: int = 1,
     cache_dir: Any = None,
     progress: Any = None,
@@ -196,7 +195,6 @@ def fidelity_report(
             placements=placements,
             routings=routings,
             seed=seed,
-            compute_scale=compute_scale,
             backend=backend,
         ).run(max_workers=max_workers, cache_dir=cache_dir, progress=progress)
     packet, flow = results["packet"], results["flow"]

@@ -62,6 +62,9 @@ BARRIER_LATENCY_NS = 1000.0
 #: (bytes/ns) after a fixed latency in ns.
 LOCAL_COPY_BW = 50.0 * GIB_PER_SEC
 LOCAL_LATENCY_NS = 500.0
+#: Runaway guard: a replay that dispatches more events raises instead of
+#: running on (a malformed trace or a livelocked cell).
+MAX_EVENTS = 50_000_000
 
 
 class _PostedRecv(NamedTuple):
@@ -325,7 +328,9 @@ class ReplayEngine:
 
         Returns the simulated stop time. Raises :class:`ReplayStalled` if
         the calendar drains with ranks still blocked (an unmatched
-        receive or a partial barrier — i.e. a malformed trace).
+        receive or a partial barrier — i.e. a malformed trace), and
+        ``RuntimeError`` after ``max_events`` events (by default
+        :data:`MAX_EVENTS`).
         """
         self.start()
         if target_job is not None and target_job not in self._jobs:
@@ -341,6 +346,8 @@ class ReplayEngine:
             jobs = list(self._jobs.values())
             stop = lambda: all(j.done for j in jobs)  # noqa: E731
 
+        if max_events is None:
+            max_events = MAX_EVENTS
         end = self.sim.run(until=until, stop=stop, max_events=max_events)
         self.fabric.drain_saturation()
         if not stop() and until is None and self.sim.pending == 0:

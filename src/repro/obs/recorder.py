@@ -36,33 +36,27 @@ from repro.metrics.timeseries import CongestionEvent, TimeSeriesMetrics
 
 __all__ = ["ObsConfig", "ObsRecorder"]
 
+#: Cap on retained congestion events; the excess is counted, not kept.
+MAX_TRACE_EVENTS = 100_000
+#: Minimum gap (ns) between retained ``buffer_full`` events of the same
+#: (link, vc), to keep a hot buffer from flooding the trace.
+BUFFER_FULL_INTERVAL_NS = 10_000.0
+
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """Observability knobs for one run.
+    """Observability settings for one run.
 
-    Frozen (hashable, JSON-serialisable via ``dataclasses.asdict``) so
-    it can ride inside a content-addressed
-    :class:`~repro.exec.plan.RunSpec`.
+    Frozen (hashable, one flat JSON-serialisable field) so it can ride
+    inside a content-addressed :class:`~repro.exec.plan.RunSpec`.
     """
 
     #: Sampling window width in simulated ns.
     window_ns: float = 50_000.0
-    #: Record the structured congestion-event trace.
-    events: bool = True
-    #: Cap on retained congestion events; the excess is counted, not kept.
-    max_trace_events: int = 100_000
-    #: Minimum gap between retained ``buffer_full`` events of the same
-    #: (link, vc), to keep a hot buffer from flooding the trace.
-    buffer_full_interval_ns: float = 10_000.0
 
     def __post_init__(self) -> None:
         if self.window_ns <= 0:
             raise ValueError("window_ns must be positive")
-        if self.max_trace_events < 0:
-            raise ValueError("max_trace_events must be non-negative")
-        if self.buffer_full_interval_ns < 0:
-            raise ValueError("buffer_full_interval_ns must be non-negative")
 
 
 class ObsRecorder:
@@ -220,29 +214,23 @@ class ObsRecorder:
     # ``fabric.obs is not None``)
     # ------------------------------------------------------------------
     def _record(self, event: CongestionEvent) -> None:
-        if len(self.events) >= self.config.max_trace_events:
+        if len(self.events) >= MAX_TRACE_EVENTS:
             self.events_dropped += 1
             return
         self.events.append(event)
 
     def on_stall_onset(self, t: float, link: int) -> None:
-        if self.config.events:
-            self._record(CongestionEvent(t, "stall_onset", link, -1, 0.0))
+        self._record(CongestionEvent(t, "stall_onset", link, -1, 0.0))
 
     def on_stall_clear(self, t: float, link: int, duration_ns: float) -> None:
-        if self.config.events:
-            self._record(
-                CongestionEvent(t, "stall_clear", link, -1, duration_ns)
-            )
+        self._record(CongestionEvent(t, "stall_clear", link, -1, duration_ns))
 
     def on_buffer_full(
         self, t: float, link: int, vc: int, occupancy: int, capacity: int
     ) -> None:
-        if not self.config.events:
-            return
         key = link * 64 + vc
         last = self._last_buffer_full.get(key)
-        if last is not None and t - last < self.config.buffer_full_interval_ns:
+        if last is not None and t - last < BUFFER_FULL_INTERVAL_NS:
             return
         self._last_buffer_full[key] = t
         self._record(
@@ -250,19 +238,16 @@ class ObsRecorder:
         )
 
     def on_adaptive_divert(self, t: float, src_router: int, hops: int) -> None:
-        if self.config.events:
-            self._record(
-                CongestionEvent(t, "adaptive_divert", src_router, -1, float(hops))
-            )
+        self._record(
+            CongestionEvent(t, "adaptive_divert", src_router, -1, float(hops))
+        )
 
     def on_fault(self, t: float, link: int, bw_scale: float) -> None:
         """A link fault landed: dead (``bw_scale == 0``) or degraded."""
-        if self.config.events:
-            self._record(CongestionEvent(t, "fault", link, -1, bw_scale))
+        self._record(CongestionEvent(t, "fault", link, -1, bw_scale))
 
     def on_reroute(self, t: float, link: int, remaining_hops: int) -> None:
         """A packet was re-routed around a dead channel onto ``link``."""
-        if self.config.events:
-            self._record(
-                CongestionEvent(t, "reroute", link, -1, float(remaining_hops))
-            )
+        self._record(
+            CongestionEvent(t, "reroute", link, -1, float(remaining_hops))
+        )

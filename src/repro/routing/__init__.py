@@ -16,21 +16,13 @@ from repro.routing.adaptive import (
     NONMINIMAL_WEIGHT,
     AdaptiveRouting,
 )
-from repro.routing.paths import (
-    local_hop_count,
-    intra_group_links,
-    enumerate_minimal_routes,
-    valiant_route,
-)
+from repro.routing.paths import valiant_route
 from repro.routing.tables import MAX_MINIMAL
 
 __all__ = [
     "RoutingPolicy",
     "MinimalRouting",
     "AdaptiveRouting",
-    "local_hop_count",
-    "intra_group_links",
-    "enumerate_minimal_routes",
     "valiant_route",
     "make_routing",
     "ROUTING_NAMES",

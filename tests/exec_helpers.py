@@ -2,16 +2,17 @@
 
 These live in an importable module (not inside a test function) because
 the parallel executor ships runners to worker processes by reference.
-Fault injection is parameterised through ``RunSpec.tags``
-(``"name=value"`` pairs) and coordinated across processes/attempts via
-marker files in a scratch directory the test supplies.
+The fault-injecting runners are frozen dataclasses that carry their own
+parameters, so a pickled runner arrives in a worker with them; they
+coordinate across processes and attempts via marker files in a scratch
+directory the test supplies.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,35 +51,18 @@ def make_stub_result(spec) -> RunResult:
     )
 
 
-def stub_plan(n_seeds: int = 1, tags: tuple = (), **kw) -> ExperimentPlan:
-    """A small 2-cell-per-seed plan whose cells carry ``tags``."""
+def stub_plan(n_seeds: int = 1) -> ExperimentPlan:
+    """A small 2-cell-per-seed plan."""
     plans = [
         plan_grid(
-            repro.tiny(),
-            {"A": tiny_trace("A")},
-            ("cont", "rand"),
-            ("min",),
-            seed=s,
-            **kw,
+            repro.tiny(), {"A": tiny_trace("A")}, ("cont", "rand"), ("min",), seed=s
         )
         for s in range(n_seeds)
     ]
-    specs = tuple(
-        dataclasses.replace(s, tags=tuple(tags))
-        for p in plans
-        for s in p.specs
-    )
+    specs = tuple(s for p in plans for s in p.specs)
     return ExperimentPlan(
         config=plans[0].config, specs=specs, traces=plans[0].traces
     )
-
-
-def _tag(spec, name: str) -> str | None:
-    for tag in spec.tags:
-        key, _, value = tag.partition("=")
-        if key == name:
-            return value
-    return None
 
 
 def stub_runner(config, spec, trace) -> RunResult:
@@ -86,45 +70,56 @@ def stub_runner(config, spec, trace) -> RunResult:
     return make_stub_result(spec)
 
 
-def flaky_runner(config, spec, trace) -> RunResult:
-    """Raises on the first ``fail_times`` attempts, then succeeds.
+@dataclass(frozen=True)
+class FlakyRunner:
+    """Raises on the first ``fail_times`` attempts of each cell, then succeeds.
 
     Attempts are counted in ``<scratch>/attempts-<key>`` so the count
     survives retries in other worker processes.
     """
-    scratch = _tag(spec, "scratch")
-    fail_times = int(_tag(spec, "fail_times"))
-    marker = os.path.join(scratch, f"attempts-{spec.key}")
-    n = 0
-    if os.path.exists(marker):
-        with open(marker) as fh:
-            n = int(fh.read())
-    with open(marker, "w") as fh:
-        fh.write(str(n + 1))
-    if n < fail_times:
-        raise RuntimeError(f"injected failure on attempt {n + 1}")
-    return make_stub_result(spec)
+
+    scratch: str
+    fail_times: int
+
+    def __call__(self, config, spec, trace) -> RunResult:
+        marker = os.path.join(self.scratch, f"attempts-{spec.key}")
+        n = 0
+        if os.path.exists(marker):
+            with open(marker) as fh:
+                n = int(fh.read())
+        with open(marker, "w") as fh:
+            fh.write(str(n + 1))
+        if n < self.fail_times:
+            raise RuntimeError(f"injected failure on attempt {n + 1}")
+        return make_stub_result(spec)
 
 
-def crashing_runner(config, spec, trace) -> RunResult:
-    """Hard-kills the worker process once, then succeeds.
+@dataclass(frozen=True)
+class CrashingRunner:
+    """Hard-kills the worker process once per cell, then succeeds.
 
     ``os._exit`` bypasses all exception handling, so the executor sees
     a BrokenProcessPool — the real worker-crash path, not a pickled
     exception.
     """
-    scratch = _tag(spec, "scratch")
-    marker = os.path.join(scratch, f"crash-{spec.key}")
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("x")
-        os._exit(17)
-    return make_stub_result(spec)
+
+    scratch: str
+
+    def __call__(self, config, spec, trace) -> RunResult:
+        marker = os.path.join(self.scratch, f"crash-{spec.key}")
+        if not os.path.exists(marker):
+            with open(marker, "w") as fh:
+                fh.write("x")
+            os._exit(17)
+        return make_stub_result(spec)
 
 
-def sleepy_runner(config, spec, trace) -> RunResult:
-    """Sleeps ``sleep`` seconds — for per-cell timeout tests."""
-    time.sleep(float(_tag(spec, "sleep")))
-    return make_stub_result(spec)
+@dataclass(frozen=True)
+class SleepyRunner:
+    """Sleeps ``seconds`` — for per-cell timeout tests."""
 
+    seconds: float
 
+    def __call__(self, config, spec, trace) -> RunResult:
+        time.sleep(self.seconds)
+        return make_stub_result(spec)

@@ -6,9 +6,9 @@ payloads) are performance work only. These tests hold them to that:
 
 * the ``bench_cluster.py`` stream replays identically when the fill is
   swapped for the historical loop in ``tests/flow_oracle.py``;
-* three keys captured from the original code stay byte-identical
-  (the two salted ones re-pinned at each ``CODE_SALT`` bump), so
-  caches written before the rewrite keep serving;
+* three pinned keys stay byte-identical: the ``EpochSpec`` digest
+  carries no salt and has never moved, and the two salted spec keys
+  move only at a ``CODE_SALT`` bump, which re-pins them;
 * every job record and epoch key of that stream matches
   ``tests/data/golden_stream.json`` (rewritten by ``--update-goldens``),
   and a tiny packet stream under a link-fault plan matches
@@ -38,13 +38,14 @@ SCENARIO = dict(
     backend="flow", seed=7,
 )
 
-#: Captured from the original code: the first epoch cell of the
-#: scenario (job CR-0 alone on nodes 0-3), its EpochSpec digest, and
-#: one ``plan_grid`` flow cell. The two keys fold in ``CODE_SALT`` and
-#: were re-pinned at ``repro-exec/v9``; the digest carries no salt.
-FIRST_EPOCH_KEY = "ced63b937714d98b1bb0b328a2e33d899aca4687058e9c91836a04e84df0f761"
+#: The first epoch cell of the scenario (job CR-0 alone on nodes 0-3),
+#: its EpochSpec digest, and one ``plan_grid`` flow cell. The digest
+#: was captured from the original code and carries no salt. The two
+#: keys fold in ``CODE_SALT`` and were re-pinned at ``repro-exec/v10``,
+#: when the key payload became every ``RunSpec`` field.
+FIRST_EPOCH_KEY = "5189426e2e60751d1b52d16d2d8a031c76f63d7f614900df528d435444873f44"
 FIRST_EPOCH_DIGEST = "6a99839fb7112922dfcbedb5cfe1dab49f932600dc9aea898d668cd64fed9157"
-PLAN_GRID_KEY = "b47404c9ceef9b13fc607d3b801ada7d35b27c7179dc97c30220d1725f6c0d57"
+PLAN_GRID_KEY = "753070a6105efe4236c065364e40628b3e0796f25e70fde44396fb99abb6d095"
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_stream.json"
 FAULTS_GOLDEN_PATH = GOLDEN_PATH.with_name("golden_stream_faults.json")

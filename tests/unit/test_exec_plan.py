@@ -1,11 +1,15 @@
 """Planning: grid/sweep enumeration and content-addressed spec keys."""
 
+import dataclasses
+
 import pytest
 
 import repro
+from repro.cluster.engine import EpochSpec
 from repro.core.interference import BackgroundSpec
 from repro.core.study import TradeoffStudy
 from repro.exec.plan import (
+    RunSpec,
     config_digest,
     plan_grid,
     plan_sensitivity,
@@ -19,6 +23,23 @@ from tests.exec_helpers import tiny_trace
 
 def small_traces():
     return {"A": tiny_trace("A"), "B": tiny_trace("B")}
+
+
+#: One RunSpec field per entry, with a valid value that differs from the
+#: one a default ``plan_grid`` cell carries.
+OTHER_FIELD_VALUES = {
+    "app": "B",
+    "placement": "rand",
+    "routing": "adp",
+    "seed": 9,
+    "config_digest": config_digest(repro.small()),
+    "trace_digest": trace_fingerprint(tiny_trace("A").scaled(2.0)),
+    "background": BackgroundSpec("uniform", 1024, 1000.0),
+    "obs": ObsConfig(window_ns=1e4),
+    "faults": FaultPlan(link_faults=(LinkFault(48),)),
+    "backend": "flow",
+    "epoch": EpochSpec(jobs=(("A", 2, (0, 1)),), stream_seed=1, mix="A=1"),
+}
 
 
 class TestFingerprints:
@@ -67,27 +88,19 @@ class TestGridPlan:
 
     def test_key_sensitivity(self):
         base = plan_grid(repro.tiny(), small_traces(), ("cont",), ("min",))
-        reseeded = plan_grid(
-            repro.tiny(), small_traces(), ("cont",), ("min",), seed=9
-        )
-        reconfigured = plan_grid(
-            repro.small(), small_traces(), ("cont",), ("min",)
-        )
+        spec = base.specs[0]
+        fields = {f.name for f in dataclasses.fields(RunSpec)}
+        assert set(OTHER_FIELD_VALUES) == fields and len(fields) == 11
+        for name, value in OTHER_FIELD_VALUES.items():
+            assert dataclasses.replace(spec, **{name: value}).key != spec.key, name
+        # An empty plan runs the healthy path, so it shares the healthy key.
+        assert dataclasses.replace(spec, faults=FaultPlan()).key == spec.key
         rescaled = plan_grid(
             repro.tiny(),
             {"A": tiny_trace("A").scaled(2.0), "B": tiny_trace("B")},
             ("cont",),
             ("min",),
         )
-        with_bg = plan_grid(
-            repro.tiny(),
-            small_traces(),
-            ("cont",),
-            ("min",),
-            background=BackgroundSpec("uniform", 1024, 1000.0),
-        )
-        for other in (reseeded, reconfigured, with_bg):
-            assert base.keys() != other.keys()
         # only A's trace changed, so only A's key moves
         assert base.specs[0].key != rescaled.specs[0].key
         assert base.specs[1].key == rescaled.specs[1].key
@@ -105,8 +118,8 @@ class TestSensitivityPlan:
         configs = (("cont", "min"), ("rand", "adp"))
         plan = plan_sensitivity(repro.tiny(), trace, (0.5, 2.0), configs)
         assert len(plan) == 4
-        assert [s.tags for s in plan.specs] == [
-            ("scale=0.5",), ("scale=0.5",), ("scale=2",), ("scale=2",)
+        assert [s.app for s in plan.specs] == [
+            "AMG@x0.5", "AMG@x0.5", "AMG@x2", "AMG@x2"
         ]
         assert [s.label for s in plan.specs] == [
             "cont-min", "rand-adp", "cont-min", "rand-adp"

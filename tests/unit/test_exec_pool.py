@@ -1,4 +1,4 @@
-"""Executor: scheduling, retry, timeout, caching, IPC slimming, pickling."""
+"""Executor: scheduling, retry, timeout, caching, pickling."""
 
 import os
 import pickle
@@ -12,9 +12,9 @@ from repro.exec.plan import plan_grid
 from repro.exec.pool import ExecutionError, execute_plan
 
 from tests.exec_helpers import (
-    crashing_runner,
-    flaky_runner,
-    sleepy_runner,
+    CrashingRunner,
+    FlakyRunner,
+    SleepyRunner,
     stub_plan,
     stub_runner,
     tiny_trace,
@@ -47,21 +47,23 @@ class TestSerialExecution:
         assert report.done == len(plan) and report.failed == 0
 
     def test_retry_then_success(self, tmp_path):
-        plan = stub_plan(tags=(f"scratch={tmp_path}", "fail_times=1"))
-        report = execute_plan(plan, runner=flaky_runner, retries=1)
+        plan = stub_plan()
+        report = execute_plan(plan, runner=FlakyRunner(str(tmp_path), 1), retries=1)
         assert report.done == len(plan)
         assert all(o.attempts == 2 for o in report.outcomes)
 
     def test_retries_exhausted(self, tmp_path):
-        plan = stub_plan(tags=(f"scratch={tmp_path}", "fail_times=5"))
-        report = execute_plan(plan, runner=flaky_runner, retries=1)
+        plan = stub_plan()
+        report = execute_plan(plan, runner=FlakyRunner(str(tmp_path), 5), retries=1)
         assert report.failed == len(plan)
         assert all("injected failure" in o.error for o in report.failures())
 
     def test_strict_raises(self, tmp_path):
-        plan = stub_plan(tags=(f"scratch={tmp_path}", "fail_times=5"))
+        plan = stub_plan()
         with pytest.raises(ExecutionError, match="cells failed"):
-            execute_plan(plan, runner=flaky_runner, retries=0, strict=True)
+            execute_plan(
+                plan, runner=FlakyRunner(str(tmp_path), 5), retries=0, strict=True
+            )
 
 
 class TestParallelExecution:
@@ -72,37 +74,40 @@ class TestParallelExecution:
         assert [o.spec.key for o in report.outcomes] == plan.keys()
 
     def test_worker_exception_retried(self, tmp_path):
-        plan = stub_plan(tags=(f"scratch={tmp_path}", "fail_times=1"))
+        plan = stub_plan()
         report = execute_plan(
-            plan, max_workers=WORKERS, runner=flaky_runner, retries=1
+            plan, max_workers=WORKERS, runner=FlakyRunner(str(tmp_path), 1),
+            retries=1,
         )
         assert report.done == len(plan)
         assert all(o.attempts == 2 for o in report.outcomes)
 
     def test_worker_crash_recovers_on_fresh_pool(self, tmp_path):
-        # crashing_runner os._exit()s the worker once per cell: the real
+        # CrashingRunner os._exit()s the worker once per cell: the real
         # BrokenProcessPool path, not a pickled exception.
-        plan = stub_plan(tags=(f"scratch={tmp_path}",))
+        plan = stub_plan()
         report = execute_plan(
-            plan, max_workers=WORKERS, runner=crashing_runner, retries=2
+            plan, max_workers=WORKERS, runner=CrashingRunner(str(tmp_path)),
+            retries=2,
         )
         assert report.done == len(plan)
         assert all(o.attempts >= 2 for o in report.outcomes)
 
     def test_crash_retries_bounded(self, tmp_path):
-        plan = stub_plan(tags=(f"scratch={tmp_path}", "fail_times=99"))
+        plan = stub_plan()
         report = execute_plan(
-            plan, max_workers=WORKERS, runner=flaky_runner, retries=1
+            plan, max_workers=WORKERS, runner=FlakyRunner(str(tmp_path), 99),
+            retries=1,
         )
         assert report.failed == len(plan)
         assert all(o.attempts == 2 for o in report.failures())
 
     def test_timeout_fails_cell(self, tmp_path):
-        plan = stub_plan(tags=("sleep=30",))
+        plan = stub_plan()
         report = execute_plan(
             plan,
             max_workers=WORKERS,
-            runner=sleepy_runner,
+            runner=SleepyRunner(30.0),
             timeout_s=0.3,
             retries=0,
         )
@@ -110,9 +115,9 @@ class TestParallelExecution:
         assert all("budget" in o.error for o in report.failures())
 
     def test_serial_timeout_also_enforced(self):
-        plan = stub_plan(tags=("sleep=30",))
+        plan = stub_plan()
         report = execute_plan(
-            plan, runner=sleepy_runner, timeout_s=0.3, retries=0
+            plan, runner=SleepyRunner(30.0), timeout_s=0.3, retries=0
         )
         assert report.failed == len(plan)
 
@@ -146,7 +151,7 @@ class TestCacheIntegration:
 
 
 class TestResultIPC:
-    """RunResult must pickle (satellite: slim, IPC-safe results)."""
+    """RunResult must pickle: pool workers send every result back."""
 
     def test_pickle_round_trip_with_send_events(self):
         trace = repro.amg_trace(num_ranks=8, seed=1).scaled(0.05)
@@ -160,26 +165,3 @@ class TestResultIPC:
         assert np.array_equal(clone.job.avg_hops, result.job.avg_hops)
         assert clone.job.send_events == result.job.send_events
         assert clone.nodes == result.nodes and clone.label == result.label
-
-    def test_parallel_drops_send_events_by_default(self):
-        trace = repro.amg_trace(num_ranks=8, seed=1).scaled(0.05)
-        plan = plan_grid(
-            repro.tiny(), {"AMG": trace}, ("cont",), ("min",),
-            seed=1, record_sends=True,
-        )
-        [outcome] = execute_plan(plan, max_workers=WORKERS).outcomes
-        assert outcome.result.job.send_events is None
-
-    def test_parallel_keeps_send_events_on_opt_in(self):
-        trace = repro.amg_trace(num_ranks=8, seed=1).scaled(0.05)
-        plan = plan_grid(
-            repro.tiny(), {"AMG": trace}, ("cont",), ("min",),
-            seed=1, record_sends=True,
-        )
-        [outcome] = execute_plan(
-            plan, max_workers=WORKERS, ipc_send_events=True
-        ).outcomes
-        serial = repro.run_single(
-            repro.tiny(), trace, "cont", "min", seed=1, record_sends=True
-        )
-        assert outcome.result.job.send_events == serial.job.send_events

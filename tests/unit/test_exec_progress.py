@@ -7,7 +7,7 @@ from repro.exec.plan import plan_grid
 from repro.exec.pool import execute_plan
 from repro.exec.progress import ProgressTracker, TextReporter
 
-from tests.exec_helpers import flaky_runner, stub_plan, stub_runner, tiny_trace
+from tests.exec_helpers import FlakyRunner, stub_plan, stub_runner, tiny_trace
 
 
 class TestTracker:
@@ -26,9 +26,10 @@ class TestTracker:
 
     def test_terminal_event_per_cell(self, tmp_path):
         events = []
-        plan = stub_plan(tags=(f"scratch={tmp_path}", "fail_times=99"))
+        plan = stub_plan()
         execute_plan(
-            plan, runner=flaky_runner, retries=1, progress=events.append
+            plan, runner=FlakyRunner(str(tmp_path), 99), retries=1,
+            progress=events.append,
         )
         terminal = [e for e in events if e.kind in ("cell-done", "cell-failed", "cell-cached")]
         assert len(terminal) == len(plan)
@@ -60,7 +61,8 @@ class TestTextReporter:
 
     def test_reports_cached_and_failed(self, tmp_path):
         buf = io.StringIO()
-        plan = stub_plan(tags=(f"scratch={tmp_path}", "fail_times=99"))
-        execute_plan(plan, cache=tmp_path / "c", runner=flaky_runner,
+        plan = stub_plan()
+        execute_plan(plan, cache=tmp_path / "c",
+                     runner=FlakyRunner(str(tmp_path), 99),
                      retries=0, progress=TextReporter(stream=buf))
         assert "FAILED" in buf.getvalue()

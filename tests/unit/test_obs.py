@@ -88,10 +88,6 @@ class TestObsConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ObsConfig(window_ns=0)
-        with pytest.raises(ValueError):
-            ObsConfig(max_trace_events=-1)
-        with pytest.raises(ValueError):
-            ObsConfig(buffer_full_interval_ns=-1.0)
 
     def test_frozen_and_hashable(self):
         c = ObsConfig(window_ns=123.0)
@@ -155,24 +151,15 @@ class TestRecorder:
         ts = observed_run.obs
         assert ts.schema_version == SCHEMA_VERSION
 
-    def test_event_cap_counts_drops(self):
+    def test_event_cap_counts_drops(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.recorder.MAX_TRACE_EVENTS", 3)
         cfg = repro.tiny()
         trace = repro.amg_trace(num_ranks=8, seed=5).scaled(0.3)
         r = repro.run_single(
-            cfg, trace, "rand", "adp", seed=4,
-            obs=ObsConfig(window_ns=30_000.0, max_trace_events=3),
+            cfg, trace, "rand", "adp", seed=4, obs=ObsConfig(window_ns=30_000.0)
         )
         assert len(r.obs.events) == 3
         assert r.obs.events_dropped > 0
-
-    def test_events_disabled(self):
-        cfg = repro.tiny()
-        trace = repro.amg_trace(num_ranks=8, seed=5).scaled(0.3)
-        r = repro.run_single(
-            cfg, trace, "rand", "adp", seed=4,
-            obs=ObsConfig(window_ns=30_000.0, events=False),
-        )
-        assert r.obs.events == [] and r.obs.events_dropped == 0
 
     def test_congestion_events_ordered_and_typed(self):
         cfg = repro.tiny()

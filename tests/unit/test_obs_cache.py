@@ -35,24 +35,25 @@ class TestCacheVersioning:
         array default flow fabric + flow_params field on specs; v8:
         the repro.mlcomms training family's expansions and app
         names; v9: one max-min fill per flow fabric, packet epoch
-        cells' non-minimal share, and ``RunResult.salt``); a warm
-        cache directory from an older salt has to behave as fully
+        cells' non-minimal share, and ``RunResult.salt``; v10: the key
+        payload is every ``RunSpec`` field, four unset fields gone); a
+        warm cache directory from an older salt has to behave as fully
         cold.
         """
-        assert plan_mod.CODE_SALT == "repro-exec/v9"
+        assert plan_mod.CODE_SALT == "repro-exec/v10"
         cache = ResultCache(tmp_path)
 
-        monkeypatch.setattr(plan_mod, "CODE_SALT", "repro-exec/v8")
+        monkeypatch.setattr(plan_mod, "CODE_SALT", "repro-exec/v9")
         old_keys = make_plan().keys()
-        report_v8 = execute_plan(make_plan(), cache=cache)
-        assert report_v8.done == 1 and report_v8.cached == 0
+        report_v9 = execute_plan(make_plan(), cache=cache)
+        assert report_v9.done == 1 and report_v9.cached == 0
 
         monkeypatch.undo()
         new_keys = make_plan().keys()
         assert set(old_keys).isdisjoint(new_keys)
-        report_v9 = execute_plan(make_plan(), cache=cache)
-        assert report_v9.done == 1 and report_v9.cached == 0
-        # And the v9 entry now hits under the v9 salt.
+        report_v10 = execute_plan(make_plan(), cache=cache)
+        assert report_v10.done == 1 and report_v10.cached == 0
+        # And the v10 entry now hits under the v10 salt.
         assert execute_plan(make_plan(), cache=cache).cached == 1
 
     def test_obs_config_is_part_of_cell_identity(self):

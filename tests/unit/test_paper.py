@@ -28,6 +28,24 @@ def test_table_matches_committed_file(paper, name):
     assert text == (BENCHMARKS / "results" / f"{name}.txt").read_text()
 
 
+#: Each ablation's machine: the switching, sensing and protocol cells run
+#: the small preset at 32 ranks, the desync cells the medium one at 128.
+ABLATION_MACHINES = {
+    "ablation_switching": "preset=small ranks=32",
+    "ablation_adaptive_sensing": "preset=small ranks=32",
+    "ablation_protocol": "preset=small ranks=32",
+    "ablation_desync": "preset=medium ranks=128",
+}
+
+
+@pytest.mark.parametrize("name", ABLATION_MACHINES)
+def test_ablation_header_names_its_machine(paper, name):
+    header = paper.document(name, "").splitlines()[0]
+    assert header == f"# {name} — {ABLATION_MACHINES[name]} seed=1"
+    committed = (BENCHMARKS / "results" / f"{name}.txt").read_text()
+    assert committed.splitlines()[0] == header
+
+
 def test_table2_claims_hold(paper):
     inputs = paper.Inputs()
     verdicts = [

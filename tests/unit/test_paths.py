@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import DragonflyParams
-from repro.routing.paths import (
+from repro.routing.paths import valiant_route
+from repro.routing.tables import route_tables
+from repro.topology.dragonfly import Dragonfly
+
+from tests.route_oracle import (
     enumerate_minimal_routes,
     intra_group_links,
     local_hop_count,
-    valiant_route,
 )
-from repro.routing.tables import route_tables
-from repro.topology.dragonfly import Dragonfly
 
 PARAMS = DragonflyParams(
     groups=4, rows=3, cols=4, nodes_per_router=2,

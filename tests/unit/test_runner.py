@@ -60,10 +60,11 @@ class TestRunSingle:
         times = [t for t, _, _ in result.job.send_events]
         assert times == sorted(times)
 
-    def test_max_events_guard(self, cr_trace):
+    def test_max_events_guard(self, cr_trace, monkeypatch):
+        monkeypatch.setattr("repro.mpi.replay.MAX_EVENTS", 10)
         cfg = repro.tiny()
-        with pytest.raises(RuntimeError, match="exceeded"):
-            run_single(cfg, cr_trace, "cont", "min", seed=1, max_events=10)
+        with pytest.raises(RuntimeError, match="exceeded 10 events"):
+            run_single(cfg, cr_trace, "cont", "min", seed=1)
 
 
 class TestBuildTopology:

@@ -3,9 +3,10 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.config import DragonflyParams
-from repro.routing.paths import enumerate_minimal_routes
 from repro.routing.tables import RouteTables, route_tables
 from repro.topology.dragonfly import Dragonfly
+
+from tests.route_oracle import enumerate_minimal_routes
 
 PARAMS = DragonflyParams(
     groups=3, rows=2, cols=3, nodes_per_router=1,
