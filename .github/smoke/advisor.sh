@@ -57,7 +57,3 @@ for routing in ("min", "adp"):
         f"{ex['best_placement']}#{ex['best_draw']} — agree"
     )
 PY
-
-PYTHONPATH=src python benchmarks/bench_advisor.py \
-  --quick --out "$out/BENCH_advisor.ci.json" \
-  --compare BENCH_advisor.json --max-regression 0.35

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Cluster stream smoke: a tiny 2-hour stream cold, then warm on the
-# same cache, then the stream-engine benchmark gate.
+# same cache.
 set -euo pipefail
 out=smoke-out
 mkdir -p "$out"
@@ -40,7 +40,3 @@ print(
 )
 PY
 rm -rf "$out/stream-cache"
-
-PYTHONPATH=src python benchmarks/bench_cluster.py \
-  --quick --out "$out/BENCH_cluster.ci.json" \
-  --compare BENCH_cluster.json --max-regression 0.25

@@ -65,7 +65,3 @@ for app in doc["apps"]:
     print(f"{app}: {[doc['winners'][app][r]['placement'] for r in ('min', 'adp')]} -> {lean}")
 print("training trade-off report validated")
 PY
-
-PYTHONPATH=src python benchmarks/bench_mlcomms.py \
-  --quick --out "$out/BENCH_mlcomms.ci.json" \
-  --compare BENCH_mlcomms.json --max-regression 0.5

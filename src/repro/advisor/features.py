@@ -164,7 +164,7 @@ class FeatureExtractor:
     Construction pays the per-job costs once — trace characterisation,
     the nonzero communication-pair list, the shared minimal route model
     — so :meth:`vector` is cheap enough to rank thousands of candidate
-    placements per second (the ``bench_advisor`` gate).
+    placements per second.
     """
 
     def __init__(

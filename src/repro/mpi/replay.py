@@ -181,10 +181,6 @@ class _JobState:
         self.pkt_count = np.zeros(n, dtype=np.int64)
         self.send_events: list[tuple[float, int, int]] | None = None
 
-    @property
-    def finished(self) -> bool:
-        return self.done
-
 
 class RankResult(NamedTuple):
     """Per-rank replay outcome."""
@@ -321,7 +317,6 @@ class ReplayEngine:
     def run(
         self,
         target_job: int | None = None,
-        until: float | None = None,
         max_events: int | None = None,
     ) -> float:
         """Run until the target job (or every job) finishes.
@@ -348,14 +343,11 @@ class ReplayEngine:
 
         if max_events is None:
             max_events = MAX_EVENTS
-        end = self.sim.run(until=until, stop=stop, max_events=max_events)
+        end = self.sim.run(stop=stop, max_events=max_events)
         self.fabric.drain_saturation()
-        if not stop() and until is None and self.sim.pending == 0:
+        if not stop() and self.sim.pending == 0:
             raise ReplayStalled(self._stall_report())
         return end
-
-    def job_finished(self, job_id: int) -> bool:
-        return self._jobs[job_id].finished
 
     def job_result(self, job_id: int) -> JobResult:
         """Collect per-rank results for a finished (or stopped) job."""

@@ -241,13 +241,6 @@ class Fabric:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _vc_of(pkt: Packet, hop: int) -> int:
-        """VC used on route[hop]: terminals use 0, hop h uses h-1."""
-        if hop == 0 or hop == len(pkt.route) - 1:
-            return 0
-        return hop - 1
-
     def _enqueue(self, pkt: Packet, link: int) -> None:
         hop = pkt.hop
         vc = 0 if hop == 0 or hop == len(pkt.route) - 1 else hop - 1

@@ -36,15 +36,6 @@ class MinimalRouting(RoutingPolicy):
         self._rng = random.Random(spawn_seed(seed, "routing", "minimal"))
         self._tables = None  # memoised RouteTables of the last-seen topo
 
-    def minimal_candidates(
-        self, fabric: "Fabric", src_router: int, dst_router: int
-    ) -> tuple[tuple[int, ...], ...]:
-        """Cached enumeration of minimal routes for a router pair."""
-        tables = self._tables
-        if tables is None or tables.topo is not fabric.topo:
-            tables = self._tables = route_tables(fabric.topo)
-        return tables.minimal(src_router, dst_router)
-
     def route(
         self, fabric: "Fabric", src_router: int, dst_node: int, size: int
     ) -> list[int]:

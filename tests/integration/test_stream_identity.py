@@ -4,8 +4,9 @@ The stream path's fill (``repro.flow.solver.solve_scalar``) and its key
 hashing (per-call op reprs, memoised ``RunSpec.key``, shallow epoch
 payloads) are performance work only. These tests hold them to that:
 
-* the ``bench_cluster.py`` stream replays identically when the fill is
-  swapped for the historical loop in ``tests/flow_oracle.py``;
+* a one-hour flow stream (AMG, CR and FB at load 0.6, seed 7) replays
+  identically when the fill is swapped for the historical loop in
+  ``tests/flow_oracle.py``;
 * three pinned keys stay byte-identical: the ``EpochSpec`` digest
   carries no salt and has never moved, and the two salted spec keys
   move only at a ``CODE_SALT`` bump, which re-pins them;
@@ -31,7 +32,8 @@ from repro.mpi.ops import Compute
 from tests.flow_oracle import solve_scalar_oracle
 from tests.golden_helpers import load_golden, same
 
-#: The ``bench_cluster.py`` scenario: about 8 jobs, 16 epochs, 22 cells.
+#: A one-hour ``cont``/``adp`` flow stream of one job class per app at
+#: load 0.6: about 8 jobs, 16 epochs, 22 cells.
 MIX = "AMG=1,CR=1,FB=1"
 SCENARIO = dict(
     mix=MIX, duration_s=3600.0, load=0.6, policy="cont", routing="adp",
