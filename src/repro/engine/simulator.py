@@ -141,36 +141,19 @@ class Simulator:
 
     def run(
         self,
-        until: float | None = None,
         stop: Callable[[], bool] | None = None,
         max_events: int | None = None,
     ) -> float:
         """Drain the calendar; return the final simulated time.
 
-        ``until`` bounds simulated time (events beyond it stay queued),
         ``stop`` is polled after every event, and ``max_events`` guards
-        against runaway simulations.
+        against runaway simulations: ``max_events`` becomes a plain int
+        (``sys.maxsize`` for ``None``), so the guard is a single integer
+        comparison per event — measurable at hundreds of thousands of
+        events per run.
         """
-        if until is None:
-            return self._run_heap_fast(
-                self._queue,
-                stop,
-                sys.maxsize if max_events is None else max_events,
-            )
-        return self._run_heap(self._queue, until, stop, max_events)
-
-    def _run_heap_fast(
-        self, queue: list, stop: Callable[[], bool] | None, max_events: int
-    ) -> float:
-        """Heap loop without the ``until`` horizon — the production shape
-        (drain-or-stop with a runaway guard).
-
-        ``max_events`` arrives as a plain int (``sys.maxsize`` when the
-        caller passed ``None``), so the guard is a single integer
-        comparison instead of :meth:`_run_heap`'s per-event ``is not
-        None`` tests — measurable at hundreds of thousands of events per
-        run.
-        """
+        queue = self._queue
+        limit = sys.maxsize if max_events is None else max_events
         pop = heapq.heappop
         push = heapq.heappush
         heartbeats = self._heartbeats
@@ -180,6 +163,9 @@ class Simulator:
                 ev = pop(queue)
                 time = ev[0]
                 if heartbeats and self._hb_next <= time:
+                    # Pop eagerly, push back on the rare deferral: the
+                    # event's (time, seq) key is intact, so it re-pops
+                    # first among the still-queued events.
                     push(queue, ev)
                     self._fire_heartbeats(time)
                     continue  # a heartbeat may have scheduled new events
@@ -188,62 +174,14 @@ class Simulator:
                 events_run += 1
                 if stop is not None and stop():
                     break
-                if events_run >= max_events:
+                if events_run >= limit:
                     raise RuntimeError(
                         f"simulation exceeded {max_events} events; "
                         "likely runaway traffic generation"
                     )
         finally:
-            self._events_run = events_run
-        return self.now
-
-    def _run_heap(
-        self,
-        queue: list,
-        until: float | None,
-        stop: Callable[[], bool] | None,
-        max_events: int | None,
-    ) -> float:
-        """Heap loop with the ``until`` horizon: pop eagerly, push back
-        on the rare deferral.
-
-        Deferral (a due heartbeat or the ``until`` horizon) pushes the
-        popped event back unchanged — its ``(time, seq)`` key is intact,
-        so it re-pops first among the still-queued events. This trades a
-        per-deferral push for never paying the peek-then-pop double
-        access on the hot path. ``events_run`` is kept in a local and
-        written back in ``finally`` so an exception mid-event leaves the
-        public count exact.
-        """
-        pop = heapq.heappop
-        push = heapq.heappush
-        heartbeats = self._heartbeats
-        events_run = self._events_run
-        try:
-            while queue:
-                ev = pop(queue)
-                time = ev[0]
-                if until is not None and time > until:
-                    push(queue, ev)
-                    if heartbeats and self._hb_next <= until:
-                        self._fire_heartbeats(until)
-                    self.now = until
-                    break
-                if heartbeats and self._hb_next <= time:
-                    push(queue, ev)
-                    self._fire_heartbeats(time)
-                    continue  # a heartbeat may have scheduled new events
-                self.now = time
-                ev[2](*ev[3])
-                events_run += 1
-                if stop is not None and stop():
-                    break
-                if max_events is not None and events_run >= max_events:
-                    raise RuntimeError(
-                        f"simulation exceeded {max_events} events; "
-                        "likely runaway traffic generation"
-                    )
-        finally:
+            # Kept in a local and written back here, so an exception
+            # mid-event leaves the public count exact.
             self._events_run = events_run
         return self.now
 

@@ -14,6 +14,14 @@ admission and finish instead of rebuilt on every solve:
   few scratch slots per link instead of an O(active nnz) rebuild. One
   list-record fill (:meth:`ArrayFlowFabric._solve`) runs at every
   size.
+* The fill leaves out links that provably never bind. Each link record
+  also maintains the sum of ``weight * rate bound`` over its users
+  (``FlowEntry.rate_bound``: no unit outruns any one of its links); a
+  link whose sum stays below ``bw * (1 - 1e-3)`` can neither set a
+  fill step nor saturate, so skipping it moves no bit of any result
+  (the argument is in :meth:`ArrayFlowFabric._solve`). On the
+  benchmark suite's ``grid-flow`` cells the fill keeps 39% of the
+  records. The object fabric's ``solve_scalar`` stays unpruned.
 * Transmitted-byte and hop/latency/nonmin accounting is *deferred*:
   settle accumulates one scalar (bytes moved) per unit, and the
   per-link scatter happens once at flow finish (and at
@@ -55,7 +63,7 @@ from collections import deque
 from repro.config import NetworkParams
 from repro.engine.simulator import Simulator
 from repro.flow.routes import EPOCH_NS, flow_route_model
-from repro.flow.solver import SAT_RTOL, _BOTTLENECK_RTOL, _W_EPS
+from repro.flow.solver import SAT_RTOL, _BIND_RTOL, _BOTTLENECK_RTOL, _W_EPS
 from repro.network.packet import Message
 from repro.topology.dragonfly import Dragonfly
 
@@ -95,6 +103,7 @@ class ArrayFlowFabric:
             b * _BOTTLENECK_RTOL for b in self.bw
         ]
         self._bw_stol: list[float] = [b * SAT_RTOL for b in self.bw]
+        self._bw_bind: list[float] = [b * (1.0 - _BIND_RTOL) for b in self.bw]
 
         self.bytes_tx: list[int] = [0] * n_links
         #: Deferred float byte counters, flushed per flow.
@@ -134,6 +143,8 @@ class ArrayFlowFabric:
         self._u_lat: list[float] = []
         self._u_nonmin: list[float] = []
         self._u_rate: list[float] = []
+        #: The route's rate bound (``FlowEntry.rate_bound``).
+        self._u_bound: list[float] = []
         #: Deferred byte counter: bytes this unit moved since its last
         #: flush (finish or drain_saturation).
         self._u_moved: list[float] = []
@@ -152,6 +163,8 @@ class ArrayFlowFabric:
         #:   [8] bw                      [9] unit count (maintained)
         #:   [10] user unit slots as an insertion-ordered set (dict
         #:        keys -> None), so finish removes in O(1).
+        #:   [11] sum of weight * rate bound over the users (maintained)
+        #:   [12] bw * (1 - bind_rtol): below it the link never binds
         self._lrec: dict[int, list] = {}
         self._lx: dict[int, int] = {}  # link -> distinct-flow crossings
 
@@ -201,6 +214,7 @@ class ArrayFlowFabric:
             self._u_lat.append(e.latency_ns)
             self._u_nonmin.append(e.nonmin_fraction)
             self._u_rate.append(0.0)
+            self._u_bound.append(e.rate_bound)
             self._u_moved.append(0.0)
             self._u_left.append(share)
             uslots.append(us)
@@ -447,19 +461,23 @@ class ArrayFlowFabric:
         lrec = self._lrec
         btol = self._bw_btol
         stol = self._bw_stol
+        bind = self._bw_bind
         bw = self.bw
         u_links = self._u_links
+        u_bound = self._u_bound
         for us in self._f_units[fs]:
+            ub = u_bound[us]
             for lid, w in u_links[us]:
                 rec = lrec.get(lid)
                 if rec is not None:
                     rec[7] += w
                     rec[9] += 1
                     rec[10][us] = None
+                    rec[11] += w * ub
                 else:
                     lrec[lid] = [
                         0.0, 0.0, btol[lid], 0, lid, stol[lid],
-                        False, w, bw[lid], 1, {us: None},
+                        False, w, bw[lid], 1, {us: None}, w * ub, bind[lid],
                     ]
         lx = self._lx
         for lid in self._f_links[fs]:
@@ -484,7 +502,9 @@ class ArrayFlowFabric:
                     for lid, w in u_links[us]:
                         load[lid] -= w * left
         lrec = self._lrec
+        u_bound = self._u_bound
         for us in f_units:
+            ub = u_bound[us]
             for lid, w in u_links[us]:
                 rec = lrec[lid]
                 c = rec[9] - 1
@@ -493,6 +513,7 @@ class ArrayFlowFabric:
                 else:
                     rec[9] = c
                     rec[7] -= w
+                    rec[11] -= w * ub
                     del rec[10][us]
         lx = self._lx
         for lid in self._f_links[fs]:
@@ -554,7 +575,33 @@ class ArrayFlowFabric:
         still in play, and the inner passes do list indexing instead
         of three dict probes per link. The arithmetic (values,
         per-element order) is identical to the plain dict fill, so
-        results are bit-equal."""
+        results are bit-equal.
+
+        Links that provably never bind are left out of ``alive``. Each
+        unit's rate is at most its route's ``rate_bound`` ``ub = min(bw
+        / w)`` over its links, and ``_lrec`` maintains ``sum(w * ub)``
+        over each link's users, so the fill keeps only links where that
+        sum reaches ``bw * (1 - _BIND_RTOL)``. Why no result moves:
+
+        * The final rates are feasible (load at most ``bw * (1 +
+          1e-9)``, which ``check_fill`` asserts), so ``r <= ub * (1 +
+          1e-9)`` for every unit and a link's load is at most ``(1 +
+          1e-9) * sum(w * ub)``: below ``bw * (1 - 1e-3 + 1e-9)`` on a
+          left-out link.
+        * A link that sets a round's step keeps a residual within a few
+          ulp of 0, inside the ``1e-12`` bottleneck band, so all its
+          users freeze that round and its final load is about ``bw``. A
+          link that enters the ``1e-9`` saturation band ends with load
+          at least ``bw * (1 - 1e-9)``. A left-out link does neither.
+        * So without it the fill computes the same step (the same
+          minimum), the same bottleneck list in ``_lrec`` order and the
+          same saturation candidates. A still-unfrozen unit always has
+          the link that will freeze it in ``alive``, so the defensive
+          ``step is inf`` break cannot fire earlier.
+
+        Left-out links stay in ``_lrec``: the freeze loop still updates
+        their weight and count, which feed only the compaction timing.
+        """
         act_units = self._act_units
         u_rate = self._u_rate
         u_links = self._u_links
@@ -562,12 +609,14 @@ class ArrayFlowFabric:
             u_rate[us] = -1.0  # sentinel: not yet frozen
         n_unfrozen = len(act_units)
         recs = self._lrec
-        alive = list(recs.values())
-        for rec in alive:
+        alive = []
+        for rec in recs.values():
             rec[0] = rec[7]
-            rec[1] = rec[8]
             rec[3] = rec[9]
-            rec[6] = False
+            if rec[11] >= rec[12]:  # can bind: the fill needs it
+                rec[1] = rec[8]
+                rec[6] = False
+                alive.append(rec)
 
         base = 0.0
         n_dead = 0

@@ -88,6 +88,11 @@ class FlowEntry(NamedTuple):
     rr_hops: float
     #: Fraction of the flow's bytes on non-minimal paths.
     nonmin_fraction: float
+    #: Upper bound on the rate of any one unit on this route:
+    #: ``min(bw / weight)`` over its links, as no unit can exceed any
+    #: one of its links alone. The array fabric's fill leaves out links
+    #: whose users' bounds cannot add up to their capacity.
+    rate_bound: float
 
 
 class FlowCandidate(NamedTuple):
@@ -137,6 +142,11 @@ class FlowRouteModel:
         #: Restructured scoring rows for the fast spill path: parallel
         #: tuples plus a compacted first-link index (see `_fast_rows`).
         self._fast_scoring: dict[tuple[int, int, int], tuple] = {}
+        #: One shared float per distinct rate bound: bounds take a
+        #: handful of values (link bandwidths over path weights), and
+        #: a float per cached entry costs about 1% of a medium grid's
+        #: peak memory.
+        self._bounds: dict[float, float] = {}
         #: ``id(entry)`` -> (entry, link-id column, weight column) as
         #: numpy arrays, for the advisor's load scatter. Keyed by
         #: identity (entries are interned in the memos above, which
@@ -378,6 +388,11 @@ class FlowRouteModel:
         return tuple(entries[i] for i in cands if took[i])
 
     # ------------------------------------------------------------------
+    def _rate_bound(self, links: tuple[tuple[int, float], ...]) -> float:
+        bw = self.bw
+        ub = min(bw[lid] / w for lid, w in links)
+        return self._bounds.setdefault(ub, ub)
+
     def _build(self, src_node: int, dst_node: int) -> FlowEntry:
         topo = self.topo
         lat = self.lat
@@ -409,11 +424,13 @@ class FlowRouteModel:
             agg_w = np.bincount(flat, weights=np.full(n_lids, w))
             nz = np.nonzero(agg_w)[0]
             rr_links = list(zip(nz.tolist(), agg_w[nz].tolist()))
+        links = tuple(sorted([(t_in, 1.0), (t_out, 1.0)] + rr_links))
         return FlowEntry(
-            links=tuple(sorted([(t_in, 1.0), (t_out, 1.0)] + rr_links)),
+            links=links,
             latency_ns=latency,
             rr_hops=rr_hops,
             nonmin_fraction=0.0,
+            rate_bound=self._rate_bound(links),
         )
 
     def _build_candidates(
@@ -441,11 +458,13 @@ class FlowRouteModel:
                 for lid in path:
                     agg[lid] = agg.get(lid, 0.0) + 1.0
                 rr = list(agg.items())
+            links = tuple(sorted([(t_in, 1.0), (t_out, 1.0)] + rr))
             entry = FlowEntry(
-                links=tuple(sorted([(t_in, 1.0), (t_out, 1.0)] + rr)),
+                links=links,
                 latency_ns=latency,
                 rr_hops=float(len(path)),
                 nonmin_fraction=1.0 if nonmin else 0.0,
+                rate_bound=self._rate_bound(links),
             )
             out.append(FlowCandidate(entry=entry, rr_path=path))
 

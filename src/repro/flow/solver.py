@@ -45,6 +45,13 @@ _W_EPS = 1e-15
 #: division/multiply rounding, far inside this band.
 _BOTTLENECK_RTOL = 1e-12
 
+#: Pruning margin (relative to link capacity) of the array fabric's
+#: fill: a link whose users' summed rate bounds stay below
+#: ``bw * (1 - _BIND_RTOL)`` can never bind, so the fill leaves it
+#: out. Far wider than ``SAT_RTOL``, so neither the feasibility slack
+#: of the final rates nor drift in the maintained sum can matter.
+_BIND_RTOL = 1e-3
+
 
 def solve_scalar(flows: Sequence[Any], bw: Sequence[float]) -> list[int]:
     """Progressive filling over one flat record per crossed link.

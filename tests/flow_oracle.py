@@ -10,7 +10,8 @@ same float operations in the same order, so the two must agree with
 same standard: after a full solve, its rates and saturated links must
 equal (``==``) a from-scratch ``solve_scalar`` of its active units,
 and form a max-min allocation (capacity feasibility and the bottleneck
-condition). :func:`checked_array_fabric` runs it after every full
+condition), and every link the fill left out must end below the
+pruning line. :func:`checked_array_fabric` runs it after every full
 solve, at every size; :func:`use_checked_fabric` puts that fabric under
 ``run_single``.
 
@@ -34,7 +35,13 @@ from typing import Any, Sequence
 from repro.flow.fabric import FlowFabric
 from repro.flow.fabric_array import ArrayFlowFabric
 from repro.flow.routes import SPILL_QUANTA, FlowEntry, FlowRouteModel
-from repro.flow.solver import _BOTTLENECK_RTOL, _W_EPS, SAT_RTOL, solve_scalar
+from repro.flow.solver import (
+    _BIND_RTOL,
+    _BOTTLENECK_RTOL,
+    _W_EPS,
+    SAT_RTOL,
+    solve_scalar,
+)
 from repro.routing import MINIMAL_BIAS_NS, NONMINIMAL_WEIGHT
 
 __all__ = [
@@ -64,13 +71,16 @@ def use_object_fabric(monkeypatch) -> None:
     monkeypatch.setattr("repro.flow.fabric_array.ArrayFlowFabric", FlowFabric)
 
 
-def check_fill(fabric: ArrayFlowFabric) -> None:
+def check_fill(fabric: ArrayFlowFabric, left_out: Sequence[int]) -> None:
     """Assert the array fabric's last full solve is ``solve_scalar``'s.
 
     Rebuilds the active units as stand-ins, solves them from scratch,
     and compares unit rates, flow rates and the saturated links with
-    ``==``; then checks that no link carries more than its capacity and
-    that every unit crosses a link allocated to capacity.
+    ``==``; then checks that no link carries more than its capacity,
+    that every unit crosses a link allocated to capacity, and that
+    every link in ``left_out`` (the links the fill skipped) carries at
+    most ``bw * (1 - _BIND_RTOL)``: the premise on which skipping them
+    moves no result.
     """
     act = fabric._act_flows
     flows = [
@@ -90,35 +100,47 @@ def check_fill(fabric: ArrayFlowFabric) -> None:
         for u in f.units:
             slack = min((bw[lid] - load[lid]) / bw[lid] for lid, _ in u.links)
             assert slack <= 1e-6, (slack, u.links)
+    for lid in left_out:
+        assert load[lid] <= bw[lid] * (1.0 - _BIND_RTOL), (lid, load[lid], bw[lid])
 
 
-def checked_array_fabric(sizes: list[int]) -> type[ArrayFlowFabric]:
+def checked_array_fabric(
+    solves: list[tuple[int, int]],
+) -> type[ArrayFlowFabric]:
     """An :class:`ArrayFlowFabric` that runs :func:`check_fill` after
-    every full solve and appends the solve's active-unit count to
-    ``sizes``. Disjoint-delta solves (``_solve_subset``) are not
-    checked: they accumulate their own base rate and may differ from a
-    full solve by one ulp (DESIGN.md §14)."""
+    every full solve and appends ``(active units, links left out of the
+    fill)`` to ``solves``. Disjoint-delta solves (``_solve_subset``) are
+    not checked: they accumulate their own base rate and may differ
+    from a full solve by one ulp (DESIGN.md §14)."""
 
     class CheckedArrayFlowFabric(ArrayFlowFabric):
         def _solve(self) -> None:
+            # The fill resets the residual slot of every link it keeps,
+            # so a slot still NaN afterwards marks a link it left out.
+            for rec in self._lrec.values():
+                rec[1] = math.nan
             super()._solve()
-            check_fill(self)
-            sizes.append(len(self._act_units))
+            left_out = [
+                lid for lid, rec in self._lrec.items() if math.isnan(rec[1])
+            ]
+            check_fill(self, left_out)
+            solves.append((len(self._act_units), len(left_out)))
 
     return CheckedArrayFlowFabric
 
 
-def use_checked_fabric(monkeypatch) -> list[int]:
+def use_checked_fabric(monkeypatch) -> list[tuple[int, int]]:
     """Make ``run_single`` build :func:`checked_array_fabric` fabrics.
 
-    Returns the list that collects each checked solve's active-unit
-    count, across every flow cell run in this process.
+    Returns the list that collects each checked solve's ``(active
+    units, links left out)``, across every flow cell run in this
+    process.
     """
-    sizes: list[int] = []
+    solves: list[tuple[int, int]] = []
     monkeypatch.setattr(
-        "repro.flow.fabric_array.ArrayFlowFabric", checked_array_fabric(sizes)
+        "repro.flow.fabric_array.ArrayFlowFabric", checked_array_fabric(solves)
     )
-    return sizes
+    return solves
 
 
 def spill_oracle(

@@ -120,7 +120,9 @@ def test_flow_golden_summaries(flow_grid_summaries, update_goldens):
 def test_flow_grid_fills_match_scalar(flow_grid_summaries, monkeypatch):
     """The flow grid again, with every full solve of every cell checked
     against a from-scratch ``solve_scalar`` (``tests/flow_oracle.py``'s
-    ``check_fill``); the check changes nothing it observes."""
-    sizes = use_checked_fabric(monkeypatch)
+    ``check_fill``); the check changes nothing it observes. The fill
+    must leave some links out, or the pruning has silently turned off."""
+    solves = use_checked_fabric(monkeypatch)
     assert _grid("flow") == flow_grid_summaries
-    assert sizes
+    assert solves
+    assert any(left_out for _units, left_out in solves)

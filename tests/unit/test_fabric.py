@@ -9,6 +9,7 @@ from repro.network.fabric import Fabric
 from repro.network.packet import Message
 from repro.routing import MinimalRouting
 from repro.topology.links import LinkKind
+from tests.engine_helpers import run_until
 
 
 def make_fabric(net=None, seed=0):
@@ -197,7 +198,7 @@ class TestBackpressure:
         for i, src in enumerate(range(1, p.num_nodes)):
             fabric.inject(Message(i, src, dst, 60_000))
         # Stop mid-flight: some links are likely blocked right now.
-        sim.run(until=2000.0)
+        run_until(sim, 2000.0)
         before = sum(fabric.sat_ns)
         fabric.drain_saturation()
         after = sum(fabric.sat_ns)

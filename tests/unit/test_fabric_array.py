@@ -101,16 +101,20 @@ def _check_invariants(fabric):
     lw: dict[int, float] = {}
     lc: dict[int, int] = {}
     lu: dict[int, list[int]] = {}
+    lb: dict[int, float] = {}
     for us in fabric._act_units:
+        ub = fabric._u_bound[us]
         for lid, w in fabric._u_links[us]:
             lw[lid] = lw.get(lid, 0.0) + w
             lc[lid] = lc.get(lid, 0) + 1
             lu.setdefault(lid, []).append(us)
+            lb[lid] = lb.get(lid, 0.0) + w * ub
     assert {lid: rec[9] for lid, rec in fabric._lrec.items()} == lc
     assert set(fabric._lrec) == set(lw)
     for lid, w in lw.items():
         rec = fabric._lrec[lid]
         assert math.isclose(rec[7], w, rel_tol=1e-9, abs_tol=1e-9)
+        assert math.isclose(rec[11], lb[lid], rel_tol=1e-12)
         assert rec[4] == lid
         assert rec[8] == fabric.bw[lid]
     assert {
@@ -165,13 +169,17 @@ class TestFillCheck:
         ``solve_scalar`` of its active units (``check_fill``), with
         solves well past 96 active units. ``min`` keeps one unit per
         busy source node, so it needs the medium preset's 432 nodes to
-        get there; ``adp`` spills a message over several units."""
+        get there; ``adp`` spills a message over several units. The
+        fill must leave some links out, or the pruning has silently
+        turned off."""
         cfg = getattr(repro, preset)()
         topo = build_topology(cfg.topology)
-        sizes: list[int] = []
-        fabric = checked_array_fabric(sizes)(
+        solves: list[tuple[int, int]] = []
+        fabric = checked_array_fabric(solves)(
             Simulator(), topo, cfg.network, routing
         )
         msgs = _run_workload(fabric, _workload(topo, 400, seed=5))
         assert fabric.messages_delivered == len(msgs)
-        assert max(sizes) > 96, max(sizes)
+        most = max(units for units, _ in solves)
+        assert most > 96, most
+        assert any(left_out for _, left_out in solves)

@@ -8,6 +8,7 @@ from repro.engine.simulator import Simulator
 from repro.network.fabric import MAX_VCS, Fabric
 from repro.network.packet import Message, Packet
 from repro.routing import MinimalRouting
+from tests.engine_helpers import run_until
 
 
 def make_fabric(**net_overrides):
@@ -90,7 +91,7 @@ class TestCreditAccounting:
         fabric.inject(msg)
         # After the injection event, the terminal-in buffer is claimed.
         t_in = topo.terminal_in(src)
-        sim.run(until=1.0)
+        run_until(sim, 1.0)
         assert fabric._buf_used[t_in * MAX_VCS] == 1000
         sim.run()
         assert fabric._buf_used[t_in * MAX_VCS] == 0

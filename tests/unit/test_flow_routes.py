@@ -117,6 +117,18 @@ class TestMinimalEntries:
         for src, dst in _pairs(topo):
             assert model.entry(src, dst).nonmin_fraction == 0.0
 
+    def test_rate_bound_is_the_tightest_link_share(self, model, adp_model, topo):
+        """No unit can carry more than ``bw / weight`` on any of its
+        links: an entry's rate bound is the smallest such share, on
+        minimal entries and adaptive candidates alike."""
+        bw = model.bw
+        for src, dst in _pairs(topo):
+            entries = [model.entry(src, dst)]
+            entries += [c.entry for c in adp_model.candidates(src, dst)]
+            for entry in entries:
+                shares = [bw[lid] / w for lid, w in entry.links]
+                assert entry.rate_bound == min(shares)
+
 
 class TestAdaptiveCandidates:
     def test_minimal_first_then_valiant(self, adp_model, topo):

@@ -12,6 +12,7 @@ from repro.engine.simulator import Simulator
 from repro.metrics.timeseries import SCHEMA_VERSION, CongestionEvent
 from repro.obs import ObsConfig, ObsRecorder, read_jsonl, write_csv, write_jsonl
 from repro.topology.links import LinkKind
+from tests.engine_helpers import run_until
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +63,7 @@ class TestHeartbeat:
         beats = []
         sim.add_heartbeat(10.0, beats.append)
         sim.at(100.0, lambda: None)
-        sim.run(until=35.0)
+        run_until(sim, 35.0)
         assert beats == [10.0, 20.0, 30.0]
         assert sim.now == 35.0
 

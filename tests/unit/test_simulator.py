@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.simulator import Simulator
+from tests.engine_helpers import run_until
 
 
 class TestScheduling:
@@ -58,7 +59,7 @@ class TestRunControls:
         log = []
         sim.at(1.0, log.append, "early")
         sim.at(100.0, log.append, "late")
-        end = sim.run(until=50.0)
+        end = run_until(sim, 50.0)
         assert log == ["early"]
         assert end == 50.0
         assert sim.pending == 1

@@ -8,6 +8,7 @@ from repro.core.runner import build_topology
 from repro.engine.simulator import Simulator
 from repro.network.fabric import Fabric
 from repro.routing import MinimalRouting
+from tests.engine_helpers import run_until
 
 
 def make_fabric():
@@ -23,7 +24,7 @@ class TestUniformRandom:
         nodes = list(range(8))
         inj = UniformRandomTraffic(nodes, 1000, interval_ns=10_000.0, seed=1)
         inj.start(sim, fabric)
-        sim.run(until=100_000.0)
+        run_until(sim, 100_000.0)
         # ~10 intervals x 8 nodes (start offsets shave off < 1 interval).
         assert 60 <= inj.messages_sent <= 88
         assert inj.bytes_sent == inj.messages_sent * 1000
@@ -41,7 +42,7 @@ class TestUniformRandom:
 
         inj._send = spy
         inj.start(sim, fabric)
-        sim.run(until=50_000.0)
+        run_until(sim, 50_000.0)
         for src, dst in seen:
             assert src in nodes and dst in nodes
             assert src != dst
@@ -57,7 +58,7 @@ class TestUniformRandom:
         fabric.inject = lambda m: (captured.append(m), orig_inject(m))
         inj = UniformRandomTraffic(list(range(4)), 100, interval_ns=1000.0, seed=1)
         inj.start(sim, fabric)
-        sim.run(until=5000.0)
+        run_until(sim, 5000.0)
         assert captured
         assert all(m.job == BACKGROUND_JOB_ID for m in captured)
 
@@ -76,7 +77,7 @@ class TestBursty:
         nodes = list(range(6))
         inj = BurstyTraffic(nodes, 200, interval_ns=1_000_000.0, seed=1)
         inj.start(sim, fabric)
-        sim.run(until=999_999.0)  # stop just before the second pulse
+        run_until(sim, 999_999.0)  # stop just before the second pulse
         # One burst per node: 6 nodes x 5 peers, all at t=0 (synchronised).
         assert inj.messages_sent == 30
 
@@ -88,7 +89,7 @@ class TestBursty:
         sim, topo, fabric = make_fabric()
         inj = BurstyTraffic(list(range(6)), 100, 1_000_000.0, fanout=2, seed=1)
         inj.start(sim, fabric)
-        sim.run(until=999_999.0)
+        run_until(sim, 999_999.0)
         assert inj.messages_sent == 12
 
     def test_peak_load_table2_formula(self):
@@ -102,7 +103,7 @@ class TestBursty:
             list(range(4)), 100, 50_000.0, fanout=1, seed=1, start_ns=200_000.0
         )
         inj.start(sim, fabric)
-        sim.run(until=150_000.0)
+        run_until(sim, 150_000.0)
         assert inj.messages_sent == 0
-        sim.run(until=400_000.0)
+        run_until(sim, 400_000.0)
         assert inj.messages_sent > 0
