@@ -139,8 +139,10 @@ class FlowFabric:
     Implements the attribute/method surface of
     :class:`~repro.network.fabric.Fabric` that the replay engine,
     metric extraction, and background injectors rely on (``inject``,
-    ``drain_saturation``, ``bytes_tx``, ``sat_ns``, counters), so
-    ``run_single(backend="flow")`` is a drop-in swap.
+    ``drain_saturation``, ``bytes_tx``, ``sat_ns``, counters), so they
+    drive it unchanged. Cluster epoch cells build it;
+    ``run_single(backend="flow")`` builds
+    :class:`~repro.flow.fabric_array.ArrayFlowFabric` instead.
     """
 
     def __init__(
@@ -166,8 +168,6 @@ class FlowFabric:
         self._tx: list[float] = [0.0] * n_links
         #: Per-link accumulated bottleneck (saturation-proxy) time, ns.
         self.sat_ns: list[float] = [0.0] * n_links
-        #: Unused by the fluid model; present for fabric duck-typing.
-        self.queued_bytes: list[int] = [0] * n_links
         #: Per-link pending bytes (injected, not yet transmitted) — the
         #: fluid analogue of the packet fabric's ``queued_bytes``, fed
         #: to the UGAL cost rule on adaptive cells.
@@ -179,10 +179,6 @@ class FlowFabric:
         self.messages_delivered = 0
         self.bytes_injected = 0
         self.bytes_delivered = 0
-        self.faults_applied = 0
-        self.packets_rerouted = 0
-        #: Observability is a packet-backend feature; always ``None``.
-        self.obs = None
 
         self._active: list[_Flow] = []
         self._pending: list[_Flow] = []

@@ -11,9 +11,10 @@ admission and finish instead of rebuilt on every solve:
   beats numpy's per-call dispatch.
 * Link aggregates (weight sum, unit count, user lists, distinct-flow
   crossings) are maintained at admission/finish, so a solve resets a
-  few scratch slots per link instead of an O(active nnz) rebuild. One
-  list-record fill (:meth:`ArrayFlowFabric._solve`) runs at every
-  size.
+  few scratch slots per link instead of an O(active nnz) rebuild.
+  Every solve (:meth:`ArrayFlowFabric._solve`) then runs
+  :func:`~repro.flow.solver.fill`, the same fill ``solve_scalar``
+  runs for the object fabric, at every size.
 * The fill leaves out links that provably never bind. Each link record
   also maintains the sum of ``weight * rate bound`` over its users
   (``FlowEntry.rate_bound``: no unit outruns any one of its links); a
@@ -29,7 +30,8 @@ admission and finish instead of rebuilt on every solve:
 * Updates that change nothing skip the solve outright; a membership
   delta whose links are disjoint from every staying flow keeps the
   staying rates (max-min allocations are component-local) and solves
-  only the admitted flows against full capacity.
+  only the admitted flows, over their own records, against full
+  capacity.
 
 Equivalence with the object fabric: the pending-load ledger that the
 UGAL spill emulation reads is updated with the object fabric's
@@ -59,11 +61,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from typing import Iterable
 
 from repro.config import NetworkParams
 from repro.engine.simulator import Simulator
 from repro.flow.routes import EPOCH_NS, flow_route_model
-from repro.flow.solver import SAT_RTOL, _BIND_RTOL, _BOTTLENECK_RTOL, _W_EPS
+from repro.flow.solver import SAT_RTOL, _BIND_RTOL, _BOTTLENECK_RTOL, fill
 from repro.network.packet import Message
 from repro.topology.dragonfly import Dragonfly
 
@@ -109,7 +112,6 @@ class ArrayFlowFabric:
         #: Deferred float byte counters, flushed per flow.
         self._tx: list[float] = [0.0] * n_links
         self.sat_ns: list[float] = [0.0] * n_links
-        self.queued_bytes: list[int] = [0] * n_links
         #: Pending-byte ledger (UGAL input). Only maintained on
         #: adaptive cells — ``min`` routing never reads it, so the
         #: bookkeeping is skipped wholesale there.
@@ -121,9 +123,6 @@ class ArrayFlowFabric:
         self.messages_delivered = 0
         self.bytes_injected = 0
         self.bytes_delivered = 0
-        self.faults_applied = 0
-        self.packets_rerouted = 0
-        self.obs = None
 
         # --- slot-indexed flow state (slots are append-only) ---------
         self._f_msg: list[Message | None] = []
@@ -154,8 +153,10 @@ class ArrayFlowFabric:
         # --- incremental link aggregates (admitted units only) -------
         #: link -> one flat record holding both the maintained
         #: aggregates and the solve's per-call scratch fields, so a
-        #: solve resets three slots per link instead of rebuilding a
-        #: copy, and insert/finish/solve all pay a single dict probe:
+        #: solve resets a few slots per link instead of rebuilding a
+        #: copy, and insert/finish/solve all pay a single dict probe.
+        #: Slots [0]-[3], [5], [6] and [10] are those of
+        #: :func:`~repro.flow.solver.fill`'s record contract:
         #:   [0] fill weight (scratch)   [1] fill residual (scratch)
         #:   [2] bw * bottleneck_rtol    [3] fill count (scratch)
         #:   [4] lid                     [5] bw * sat_rtol
@@ -450,11 +451,21 @@ class ArrayFlowFabric:
         if not self._act_flows:
             self._set_saturated([])
             return
-        if not delta_shared:
-            if admitted:
-                self._solve_subset(admitted)
-            return
-        self._solve()
+        if delta_shared:
+            self._set_saturated(
+                self._solve(self._act_flows, self._act_units, lrec.values())
+            )
+        elif admitted:
+            # Every admitted link is a fresh record, so its maintained
+            # aggregates are exactly a from-scratch build over the
+            # admitted units, and disjointness keeps the new saturated
+            # links apart from the old ones.
+            units = [us for fs in admitted for us in f_units[fs]]
+            u_links = self._u_links
+            recs = {lid: lrec[lid] for us in units for lid, _w in u_links[us]}
+            new_sat = self._solve(admitted, units, recs.values())
+            if new_sat:
+                self._set_saturated(sorted(self._saturated + new_sat))
 
     def _insert(self, fs: int) -> None:
         """Add an admitted flow's units to the link aggregates."""
@@ -563,19 +574,20 @@ class ArrayFlowFabric:
         self._saturated = sat
         self._sat_set = set(sat)
 
-    def _solve(self) -> None:
-        """Progressive filling from the maintained aggregates (the
-        incremental twin of ``solve_scalar``), at every size.
+    def _solve(
+        self, flows: list[int], units: list[int], recs: Iterable[list]
+    ) -> list[int]:
+        """Rate ``flows`` by one :func:`~repro.flow.solver.fill` and
+        return their sorted contended saturated links.
 
-        Per-link fill state lives in the maintained ``_lrec`` records
-        (see ``__init__``): a solve resets the three scratch slots
-        from the maintained aggregates instead of rebuilding dict
-        copies, and works down one ``alive`` list that is compacted
-        once retired links dominate it — later rounds scan only links
-        still in play, and the inner passes do list indexing instead
-        of three dict probes per link. The arithmetic (values,
-        per-element order) is identical to the plain dict fill, so
-        results are bit-equal.
+        ``units`` are the flows' units in flow order, and ``recs`` the
+        ``_lrec`` records of every link they cross, in the order the
+        fill visits them: every active flow over ``_lrec.values()`` for
+        a full solve, or a disjoint delta's admitted flows over their
+        own records in first-touch order. A solve resets the fill's
+        scratch slots from the maintained aggregates (see ``__init__``)
+        instead of rebuilding a copy; the arithmetic is the from-scratch
+        fill's, so results are bit-equal to it.
 
         Links that provably never bind are left out of ``alive``. Each
         unit's rate is at most its route's ``rate_bound`` ``ub = min(bw
@@ -594,90 +606,32 @@ class ArrayFlowFabric:
           link that enters the ``1e-9`` saturation band ends with load
           at least ``bw * (1 - 1e-9)``. A left-out link does neither.
         * So without it the fill computes the same step (the same
-          minimum), the same bottleneck list in ``_lrec`` order and the
+          minimum), the same bottleneck list in ``recs`` order and the
           same saturation candidates. A still-unfrozen unit always has
           the link that will freeze it in ``alive``, so the defensive
           ``step is inf`` break cannot fire earlier.
 
-        Left-out links stay in ``_lrec``: the freeze loop still updates
-        their weight and count, which feed only the compaction timing.
+        Left-out links keep their place in ``recs``: the fill's freeze
+        loop still updates their weight and count, which feed only the
+        compaction timing.
         """
-        act_units = self._act_units
         u_rate = self._u_rate
-        u_links = self._u_links
-        for us in act_units:
+        for us in units:
             u_rate[us] = -1.0  # sentinel: not yet frozen
-        n_unfrozen = len(act_units)
-        recs = self._lrec
         alive = []
-        for rec in recs.values():
+        for rec in recs:
             rec[0] = rec[7]
             rec[3] = rec[9]
             if rec[11] >= rec[12]:  # can bind: the fill needs it
                 rec[1] = rec[8]
                 rec[6] = False
                 alive.append(rec)
-
-        base = 0.0
-        n_dead = 0
-        # Links whose residual ever dropped to the saturation band;
-        # residuals are monotone during the fill, so collecting them at
-        # first crossing is equivalent to the final-residual scan (the
-        # saturation band is wider than the bottleneck band).
-        sat_cand: list[list] = []
-        while n_unfrozen:
-            step = math.inf
-            for rec in alive:
-                wsum = rec[0]
-                if wsum > _W_EPS:
-                    t = rec[1] / wsum
-                    if t < step:
-                        step = t
-            if step is math.inf:  # pragma: no cover - defensive
-                break
-            base += step
-            bottleneck: list[list] = []
-            for rec in alive:
-                wsum = rec[0]
-                if wsum > _W_EPS:
-                    r = rec[1] - wsum * step
-                    rec[1] = r
-                    if r <= rec[5]:
-                        if not rec[6]:
-                            rec[6] = True
-                            sat_cand.append(rec)
-                        if r <= rec[2]:
-                            bottleneck.append(rec)
-            progressed = False
-            for rec in bottleneck:
-                for us in rec[10]:
-                    if u_rate[us] < 0.0:
-                        u_rate[us] = base
-                        n_unfrozen -= 1
-                        progressed = True
-                        for l2, w2 in u_links[us]:
-                            r2 = recs[l2]
-                            r2[0] -= w2
-                            c = r2[3] - 1
-                            r2[3] = c
-                            if c == 0:
-                                # Retire by count, not float residue
-                                # (see solve_scalar).
-                                r2[0] = 0.0
-                                n_dead += 1
-            if not progressed:  # pragma: no cover - defensive
-                break
-            # Retired links (weight zeroed by count) can never re-gain
-            # weight; once they are the majority, compact them out so
-            # later rounds scan only links still in play. Rebuilding
-            # every round would append each survivor per round — worse
-            # than the scans it saves when attrition is slow.
-            if n_dead * 2 > len(alive):
-                alive = [rec for rec in alive if rec[0] > _W_EPS]
-                n_dead = 0
+        base, sat_recs = fill(
+            alive, self._lrec, u_rate, self._u_links, len(units)
+        )
         f_rate = self._f_rate
         f_units = self._f_units
-        for fs in self._act_flows:
+        for fs in flows:
             rate = 0.0
             for us in f_units[fs]:
                 r = u_rate[us]
@@ -687,94 +641,6 @@ class ArrayFlowFabric:
             f_rate[fs] = rate
 
         lx = self._lx
-        sat = [rec[4] for rec in sat_cand if lx[rec[4]] >= 2]
+        sat = [rec[4] for rec in sat_recs if lx[rec[4]] >= 2]
         sat.sort()
-        self._set_saturated(sat)
-
-    def _solve_subset(self, admitted: list[int]) -> None:
-        """Rate only the admitted flows (their links are disjoint from
-        every staying flow, so the staying allocation is untouched).
-
-        Newly saturated links are merged into the existing saturated
-        set — disjointness guarantees no collision."""
-        u_rate = self._u_rate
-        u_links = self._u_links
-        f_units = self._f_units
-        weight: dict[int, float] = {}
-        count: dict[int, int] = {}
-        users: dict[int, list[int]] = {}
-        crossings: dict[int, int] = {}
-        n_unfrozen = 0
-        for fs in admitted:
-            seen: set[int] = set()
-            for us in f_units[fs]:
-                u_rate[us] = -1.0
-                n_unfrozen += 1
-                for lid, w in u_links[us]:
-                    if lid in weight:
-                        weight[lid] += w
-                        count[lid] += 1
-                        users[lid].append(us)
-                    else:
-                        weight[lid] = w
-                        count[lid] = 1
-                        users[lid] = [us]
-                    if lid not in seen:
-                        seen.add(lid)
-                        crossings[lid] = crossings.get(lid, 0) + 1
-        bw = self.bw
-        link_ids = list(weight)
-        residual = {lid: bw[lid] for lid in link_ids}
-
-        base = 0.0
-        while n_unfrozen:
-            step = math.inf
-            for lid in link_ids:
-                wsum = weight[lid]
-                if wsum > _W_EPS:
-                    t = residual[lid] / wsum
-                    if t < step:
-                        step = t
-            if step is math.inf:  # pragma: no cover - defensive
-                break
-            base += step
-            bottleneck = []
-            for lid in link_ids:
-                wsum = weight[lid]
-                if wsum > _W_EPS:
-                    r = residual[lid] - wsum * step
-                    residual[lid] = r
-                    if r <= bw[lid] * _BOTTLENECK_RTOL:
-                        bottleneck.append(lid)
-            progressed = False
-            for lid in bottleneck:
-                for us in users[lid]:
-                    if u_rate[us] < 0.0:
-                        u_rate[us] = base
-                        n_unfrozen -= 1
-                        progressed = True
-                        for l2, w2 in u_links[us]:
-                            weight[l2] -= w2
-                            c = count[l2] - 1
-                            count[l2] = c
-                            if c == 0:
-                                weight[l2] = 0.0
-            if not progressed:  # pragma: no cover - defensive
-                break
-        f_rate = self._f_rate
-        for fs in admitted:
-            rate = 0.0
-            for us in f_units[fs]:
-                r = u_rate[us]
-                if r < 0.0:  # pragma: no cover - defensive
-                    u_rate[us] = r = base
-                rate += r
-            f_rate[fs] = rate
-
-        new_sat = [
-            lid
-            for lid in residual
-            if crossings[lid] >= 2 and residual[lid] <= bw[lid] * SAT_RTOL
-        ]
-        if new_sat:
-            self._set_saturated(sorted(self._saturated + new_sat))
+        return sat

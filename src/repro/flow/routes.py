@@ -129,11 +129,6 @@ class FlowRouteModel:
         self._cand_cache: dict[
             tuple[int, int], tuple[FlowCandidate, ...]
         ] = {}
-        #: (src, dst, size class) -> static UGAL scoring rows.
-        self._scoring: dict[
-            tuple[int, int, int],
-            tuple[tuple[float, int, int, FlowEntry], ...],
-        ] = {}
         #: Memoised spill patterns for load-free injections (by far the
         #: common case on lightly loaded fabrics).
         self._idle_spill: dict[
@@ -202,11 +197,8 @@ class FlowRouteModel:
         One ``(unloaded cost, first link, hop count, entry)`` row per
         candidate; same-router candidates (empty path) get a sentinel
         first link of ``-1`` and cost 0, mirroring the packet policy.
+        Not memoised: :meth:`_fast_rows` memoises its restructured form.
         """
-        key = (src_node, dst_node, cost_size)
-        hit = self._scoring.get(key)
-        if hit is not None:
-            return hit
         bw = self.bw
         lat = self.lat
         rows: list[tuple[float, int, int, FlowEntry]] = []
@@ -219,9 +211,7 @@ class FlowRouteModel:
                 rows.append((unl, path[0], len(path), cand.entry))
             else:
                 rows.append((0.0, -1, 0, cand.entry))
-        built = tuple(rows)
-        self._scoring[key] = built
-        return built
+        return tuple(rows)
 
     def spill_fast(
         self,
@@ -315,7 +305,6 @@ class FlowRouteModel:
             tuple(fidx),
             uniq_lids,
             tuple(bw[l] for l in uniq_lids),
-            np.fromiter(uniq, dtype=np.intp, count=len(uniq)),
         )
         self._fast_scoring[key] = built
         return built
@@ -339,9 +328,7 @@ class FlowRouteModel:
         per compact slot, in slot order. An empty candidate set spills
         onto nothing.
         """
-        unls, firsts, hopss, nonmins, entries, fidx, uniq_lids, uniq_bw, _ = (
-            rows
-        )
+        unls, firsts, hopss, nonmins, entries, fidx, uniq_lids, uniq_bw = rows
         n = len(unls)
         if n == 0:
             return ()

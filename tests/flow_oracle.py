@@ -2,18 +2,19 @@
 
 :func:`solve_scalar_oracle` is the dict-based loop that
 ``repro.flow.solver.solve_scalar`` used to be, verbatim. Production
-``solve_scalar`` restructures it into per-link list records with the
-same float operations in the same order, so the two must agree with
-``==`` on every unit rate, flow rate and saturated link.
+``solve_scalar`` and the array fabric's solves share one restructured
+fill (``repro.flow.solver.fill``) over per-link list records with the
+same float operations in the same order, so they must agree with the
+oracle with ``==`` on every unit rate, flow rate and saturated link.
 
-:func:`check_fill` holds the array fabric's incremental fill to the
-same standard: after a full solve, its rates and saturated links must
-equal (``==``) a from-scratch ``solve_scalar`` of its active units,
-and form a max-min allocation (capacity feasibility and the bottleneck
-condition), and every link the fill left out must end below the
-pruning line. :func:`checked_array_fabric` runs it after every full
-solve, at every size; :func:`use_checked_fabric` puts that fabric under
-``run_single``.
+:func:`check_fill` holds each array-fabric solve to that standard:
+its rates and saturated links must equal (``==``) a from-scratch
+``solve_scalar_oracle`` of the flows it rated, and form a max-min
+allocation (capacity feasibility and the bottleneck condition), and
+every link the fill left out must end below the pruning line.
+:func:`checked_array_fabric` runs it after every solve, full and
+disjoint-delta, at every size; :func:`use_checked_fabric` puts that
+fabric under ``run_single``.
 
 :func:`spill_oracle` is the straightforward UGAL-L spill emulation
 (scoring rows plus a backlog dict) that
@@ -35,13 +36,7 @@ from typing import Any, Sequence
 from repro.flow.fabric import FlowFabric
 from repro.flow.fabric_array import ArrayFlowFabric
 from repro.flow.routes import SPILL_QUANTA, FlowEntry, FlowRouteModel
-from repro.flow.solver import (
-    _BIND_RTOL,
-    _BOTTLENECK_RTOL,
-    _W_EPS,
-    SAT_RTOL,
-    solve_scalar,
-)
+from repro.flow.solver import _BIND_RTOL, _BOTTLENECK_RTOL, _W_EPS, SAT_RTOL
 from repro.routing import MINIMAL_BIAS_NS, NONMINIMAL_WEIGHT
 
 __all__ = [
@@ -71,32 +66,40 @@ def use_object_fabric(monkeypatch) -> None:
     monkeypatch.setattr("repro.flow.fabric_array.ArrayFlowFabric", FlowFabric)
 
 
-def check_fill(fabric: ArrayFlowFabric, left_out: Sequence[int]) -> None:
-    """Assert the array fabric's last full solve is ``solve_scalar``'s.
+def check_fill(
+    fabric: ArrayFlowFabric,
+    flows: Sequence[int],
+    saturated: Sequence[int],
+    left_out: Sequence[int],
+) -> None:
+    """Assert one array-fabric solve is ``solve_scalar_oracle``'s.
 
-    Rebuilds the active units as stand-ins, solves them from scratch,
-    and compares unit rates, flow rates and the saturated links with
+    ``flows`` are the flow slots the solve rated (every active flow,
+    or a disjoint delta's admitted flows), ``saturated`` the links it
+    returned, and ``left_out`` the links its fill skipped. Rebuilds
+    those flows' units as stand-ins, solves them from scratch, and
+    compares unit rates, flow rates and the saturated links with
     ``==``; then checks that no link carries more than its capacity,
     that every unit crosses a link allocated to capacity, and that
-    every link in ``left_out`` (the links the fill skipped) carries at
-    most ``bw * (1 - _BIND_RTOL)``: the premise on which skipping them
-    moves no result.
+    every link in ``left_out`` carries at most ``bw * (1 -
+    _BIND_RTOL)``: the premise on which skipping them moves no result.
+    A disjoint delta's links carry none of the staying flows, so its
+    loads are complete too.
     """
-    act = fabric._act_flows
-    flows = [
-        F([U(fabric._u_links[us]) for us in fabric._f_units[fs]]) for fs in act
+    units = [us for fs in flows for us in fabric._f_units[fs]]
+    stand = [
+        F([U(fabric._u_links[us]) for us in fabric._f_units[fs]]) for fs in flows
     ]
-    sat = solve_scalar(flows, fabric.bw)
-    assert fabric._saturated == sat
-    assert [fabric._f_rate[fs] for fs in act] == [f.rate for f in flows]
-    assert [fabric._u_rate[us] for us in fabric._act_units] == [
-        u.rate for f in flows for u in f.units
+    assert list(saturated) == solve_scalar_oracle(stand, fabric.bw)
+    assert [fabric._f_rate[fs] for fs in flows] == [f.rate for f in stand]
+    assert [fabric._u_rate[us] for us in units] == [
+        u.rate for f in stand for u in f.units
     ]
     bw = fabric.bw
-    load = link_loads(bw, flows)
+    load = link_loads(bw, stand)
     for lid, carried in enumerate(load):
         assert carried <= bw[lid] * (1.0 + 1e-9), (lid, carried, bw[lid])
-    for f in flows:
+    for f in stand:
         for u in f.units:
             slack = min((bw[lid] - load[lid]) / bw[lid] for lid, _ in u.links)
             assert slack <= 1e-6, (slack, u.links)
@@ -105,38 +108,39 @@ def check_fill(fabric: ArrayFlowFabric, left_out: Sequence[int]) -> None:
 
 
 def checked_array_fabric(
-    solves: list[tuple[int, int]],
+    solves: list[tuple[int, int, bool]],
 ) -> type[ArrayFlowFabric]:
     """An :class:`ArrayFlowFabric` that runs :func:`check_fill` after
-    every full solve and appends ``(active units, links left out of the
-    fill)`` to ``solves``. Disjoint-delta solves (``_solve_subset``) are
-    not checked: they accumulate their own base rate and may differ
-    from a full solve by one ulp (DESIGN.md §14)."""
+    every solve, full or disjoint-delta, and appends ``(units solved,
+    links left out of the fill, whether the solved flows were a strict
+    subset of the active ones)`` to ``solves``."""
 
     class CheckedArrayFlowFabric(ArrayFlowFabric):
-        def _solve(self) -> None:
+        def _solve(self, flows, units, recs):
             # The fill resets the residual slot of every link it keeps,
             # so a slot still NaN afterwards marks a link it left out.
-            for rec in self._lrec.values():
+            recs = list(recs)
+            for rec in recs:
                 rec[1] = math.nan
-            super()._solve()
-            left_out = [
-                lid for lid, rec in self._lrec.items() if math.isnan(rec[1])
-            ]
-            check_fill(self, left_out)
-            solves.append((len(self._act_units), len(left_out)))
+            saturated = super()._solve(flows, units, recs)
+            left_out = [rec[4] for rec in recs if math.isnan(rec[1])]
+            check_fill(self, flows, saturated, left_out)
+            solves.append(
+                (len(units), len(left_out), len(flows) < len(self._act_flows))
+            )
+            return saturated
 
     return CheckedArrayFlowFabric
 
 
-def use_checked_fabric(monkeypatch) -> list[tuple[int, int]]:
+def use_checked_fabric(monkeypatch) -> list[tuple[int, int, bool]]:
     """Make ``run_single`` build :func:`checked_array_fabric` fabrics.
 
-    Returns the list that collects each checked solve's ``(active
-    units, links left out)``, across every flow cell run in this
-    process.
+    Returns the list that collects each checked solve's ``(units
+    solved, links left out, strict subset)``, across every flow cell
+    run in this process.
     """
-    solves: list[tuple[int, int]] = []
+    solves: list[tuple[int, int, bool]] = []
     monkeypatch.setattr(
         "repro.flow.fabric_array.ArrayFlowFabric", checked_array_fabric(solves)
     )

@@ -118,11 +118,14 @@ def test_flow_golden_summaries(flow_grid_summaries, update_goldens):
 
 
 def test_flow_grid_fills_match_scalar(flow_grid_summaries, monkeypatch):
-    """The flow grid again, with every full solve of every cell checked
-    against a from-scratch ``solve_scalar`` (``tests/flow_oracle.py``'s
-    ``check_fill``); the check changes nothing it observes. The fill
-    must leave some links out, or the pruning has silently turned off."""
+    """The flow grid again, with every solve of every cell, full and
+    disjoint-delta, checked against a from-scratch
+    ``solve_scalar_oracle`` (``tests/flow_oracle.py``'s ``check_fill``);
+    the check changes nothing it observes. Both kinds of solve must
+    occur, and the fill must leave some links out, or the pruning has
+    silently turned off."""
     solves = use_checked_fabric(monkeypatch)
     assert _grid("flow") == flow_grid_summaries
-    assert solves
-    assert any(left_out for _units, left_out in solves)
+    assert any(subset for _units, _left_out, subset in solves)
+    assert not all(subset for _units, _left_out, subset in solves)
+    assert any(left_out for _units, left_out, _subset in solves)

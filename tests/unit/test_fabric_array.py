@@ -90,7 +90,7 @@ class TestSpillFastExactness:
         """No scoreable candidates (degenerate inputs) must yield an
         empty spread, not an IndexError in the quantum loop."""
         model = FlowRouteModel(topo, cfg.network, "adp")
-        no_rows = ((),) * 8 + (np.zeros(0, dtype=np.intp),)
+        no_rows = ((),) * 8
         assert model._emulate_fast(0, no_rows, 4, None) == ()
         assert emulate_oracle(model, 0, (), 4, None) == ()
 
@@ -165,21 +165,24 @@ class TestFillCheck:
         ("routing", "preset"), [("adp", "small"), ("min", "medium")]
     )
     def test_burst_fills_match_scalar(self, routing, preset):
-        """Every full solve of a 400-message burst equals a from-scratch
-        ``solve_scalar`` of its active units (``check_fill``), with
-        solves well past 96 active units. ``min`` keeps one unit per
-        busy source node, so it needs the medium preset's 432 nodes to
-        get there; ``adp`` spills a message over several units. The
-        fill must leave some links out, or the pruning has silently
+        """Every solve of a 400-message burst, full and disjoint-delta,
+        equals a from-scratch ``solve_scalar_oracle`` of the flows it
+        rated (``check_fill``), with solves well past 96 active units.
+        ``min`` keeps one unit per busy source node, so it needs the
+        medium preset's 432 nodes to get there; ``adp`` spills a
+        message over several units. Both kinds of solve must occur, and
+        the fill must leave some links out, or the pruning has silently
         turned off."""
         cfg = getattr(repro, preset)()
         topo = build_topology(cfg.topology)
-        solves: list[tuple[int, int]] = []
+        solves: list[tuple[int, int, bool]] = []
         fabric = checked_array_fabric(solves)(
             Simulator(), topo, cfg.network, routing
         )
         msgs = _run_workload(fabric, _workload(topo, 400, seed=5))
         assert fabric.messages_delivered == len(msgs)
-        most = max(units for units, _ in solves)
+        most = max(units for units, _, _ in solves)
         assert most > 96, most
-        assert any(left_out for _, left_out in solves)
+        assert any(subset for _, _, subset in solves)
+        assert not all(subset for _, _, subset in solves)
+        assert any(left_out for _, left_out, _ in solves)
